@@ -29,7 +29,7 @@ from .tree import SourceTree
 FAMILIES = {
     "counter-contract": (
         counter_contract.check,
-        "counter-name universe identical across scalar/reference/vector/native"
+        "counter-name universe identical across reference/scalar/native"
         " lanes, C slot enum and SimParams ABI vs ctypes, golden manifest",
     ),
     "determinism": (
@@ -39,8 +39,8 @@ FAMILIES = {
     ),
     "hook-contract": (
         hook_contract.check,
-        "hook namespace partition, _HOOK_FLAGS hoisting table, class-level"
-        " override discipline, supports_native defers to supports_vector",
+        "hook namespace partition in hooks.py, _HOOK_FLAGS hoisting table,"
+        " class-level override discipline",
     ),
     "protocol-constant": (
         protocol_constants.check,

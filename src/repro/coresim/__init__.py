@@ -16,7 +16,6 @@ from .simulator import (
     simulate_trace,
     simulate_trace_batch,
 )
-from .vector import simulate_batch, supports_vector
 
 __all__ = [
     "BranchPredictor",
@@ -33,8 +32,6 @@ __all__ = [
     "SimulationResult",
     "simulate_trace",
     "simulate_trace_batch",
-    "simulate_batch",
-    "supports_vector",
     "native_available",
     "simulate_batch_native",
     "supports_native",

@@ -16,6 +16,11 @@ are pure no-ops by definition.  Consequently hooks must be overridden at
 class level (not assigned as instance attributes), and a model must not rely
 on base-class hooks being *called*.  Overridden hooks keep their documented
 call guarantees exactly.
+
+The hook namespace is partitioned into :data:`STRUCTURAL_HOOKS` (evaluated
+once at construction) and :data:`DYNAMIC_HOOKS` (consulted per cycle).
+:func:`is_hook_free` — a model overriding no dynamic hook — is the single
+eligibility predicate of the compiled native kernel.
 """
 
 from __future__ import annotations
@@ -90,3 +95,35 @@ class CoreBugModel:
 
 #: Singleton bug-free model shared by default simulations.
 BUG_FREE = CoreBugModel()
+
+#: Hooks evaluated once at construction, never per cycle.
+STRUCTURAL_HOOKS = frozenset(
+    {"on_simulation_start", "register_reduction", "bp_table_entries"}
+)
+
+#: Every hook the scalar pipeline may consult dynamically.
+DYNAMIC_HOOKS = (
+    "serialize",
+    "issue_only_if_oldest",
+    "oldest_blocks_others",
+    "extra_issue_delay",
+    "branch_extra_penalty",
+    "cache_extra_latency",
+)
+
+
+def is_hook_free(bug: "CoreBugModel | None") -> bool:
+    """True if *bug* (or ``None``) overrides no dynamic hook.
+
+    Uses the same class-level override detection the scalar pipeline uses
+    for hook hoisting: a model that leaves every dynamic hook at the
+    :class:`CoreBugModel` default never perturbs per-cycle behaviour, so
+    only its structural hooks (evaluated once) matter.
+    """
+    if bug is None:
+        return True
+    bug_type = type(bug)
+    return all(
+        getattr(bug_type, hook) is getattr(CoreBugModel, hook)
+        for hook in DYNAMIC_HOOKS
+    )

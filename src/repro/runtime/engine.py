@@ -48,7 +48,7 @@ from .backends import (
     parse_backend,
     spec_for_jobs,
 )
-from .execution import GROUPING_KERNELS, _execute_unit, plan_batches, vector_group_key
+from .execution import GROUPING_KERNELS, _execute_unit, batch_group_key, plan_batches
 from .job import SimulationJob
 from .stats import EngineStats
 from .store import ResultStore, StoredResult
@@ -60,10 +60,10 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 #: keeps progress callbacks responsive on long batches).
 MAX_CHUNK_SIZE = 32
 
-#: Per-chunk ceiling when a batching kernel (vector/native/auto) is active:
-#: chunks are the unit of batching inside workers, so same-config groups are
-#: kept much larger (job specs are small — traces ship separately by digest).
-VECTOR_CHUNK_SIZE = 256
+#: Per-chunk ceiling when a batching kernel (native/auto) is active: chunks
+#: are the unit of batching inside workers, so same-config groups are kept
+#: much larger (job specs are small — traces ship separately by digest).
+BATCH_CHUNK_SIZE = 256
 
 #: Scheduling strategies understood by :class:`JobEngine`.
 SCHEDULERS = ("ljf", "uniform")
@@ -211,8 +211,8 @@ class JobEngine:
         self.chunk_size = chunk_size
         self.scheduler = scheduler
         #: Simulation kernel driving chunk planning (``None``: REPRO_KERNEL,
-        #: resolved per batch).  With a batching kernel (vector, native or
-        #: auto), same-(config, bug, step) jobs are planned into contiguous
+        #: resolved per batch).  With a batching kernel (native or auto),
+        #: same-(config, bug, step) jobs are planned into contiguous
         #: chunks so workers can run them as one batch unit apiece.
         #: Parallel-backend workers resolve the
         #: kernel from *their* environment (the chunk wire format carries no
@@ -260,17 +260,17 @@ class JobEngine:
     ) -> list[list[tuple[int, SimulationJob]]]:
         """Chunk planning for the batching kernels: group, then split.
 
-        Jobs sharing a :func:`vector_group_key` are laid out contiguously —
+        Jobs sharing a :func:`batch_group_key` are laid out contiguously —
         a chunk is the unit a worker batches, so scattering a sweep's jobs
         across chunks would forfeit batched execution.  Groups are ordered
         costliest-first (cost proxy as in LJF) and split only at the
         batch chunk capacity; ungroupable jobs ride along in input order.
         The plan is a deterministic function of the batch.
         """
-        cap = self.chunk_size or VECTOR_CHUNK_SIZE
+        cap = self.chunk_size or BATCH_CHUNK_SIZE
         groups: dict[object, list[tuple[int, SimulationJob]]] = {}
         for position, item in enumerate(pending):
-            key = vector_group_key(item[1])
+            key = batch_group_key(item[1])
             groups.setdefault(key if key is not None else ("single", position), []).append(item)
         ordered = sorted(
             groups.values(),
@@ -304,7 +304,7 @@ class JobEngine:
         descending cost go to the least-loaded chunk with room, and chunks
         are returned costliest-first so the heaviest work starts earliest.
         Both plans are deterministic functions of the batch.  When a
-        batching kernel (vector, native or auto) is selected, planning
+        batching kernel (native or auto) is selected, planning
         switches to :meth:`_plan_chunks_grouped` so same-config sweeps stay
         batchable.
         """

@@ -7,12 +7,12 @@ RNG state restored afterwards — no matter which
 is the single implementation all of them call, so serial, local-pool and
 remote execution cannot drift apart.
 
-When a batching kernel is selected (``vector``, ``native`` or ``auto`` —
-see :data:`GROUPING_KERNELS`), core-study jobs that share a
-(config, bug, step) — the shape every sweep produces — are grouped into
-batch units by :func:`plan_batches` and executed through
+When a batching kernel is selected (``native`` or ``auto`` — see
+:data:`GROUPING_KERNELS`), core-study jobs with a hook-free bug model that
+share a (config, bug, step) — the shape every sweep produces — are grouped
+into batch units by :func:`plan_batches` and executed through
 :func:`~repro.coresim.simulator.simulate_trace_batch`.  Results are
-bit-identical to per-job execution (every batched kernel is pinned
+bit-identical to per-job execution (the native kernel is pinned
 counter-identical to the scalar one), so store keys and stored content do
 not depend on the kernel or the grouping.
 """
@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..coresim.hooks import is_hook_free
 from ..coresim.simulator import resolve_kernel, simulate_trace, simulate_trace_batch
-from ..coresim.vector import supports_vector
 from ..memsim.simulator import simulate_memory_trace
 from .job import CORE_STUDY, MEMORY_STUDY, SimulationJob, bug_fingerprint, config_fingerprint
 from .store import StoredResult
@@ -90,19 +90,18 @@ ChunkOutcome = "tuple[list[tuple[int, StoredResult]], ChunkFailure | None]"
 #: Kernels whose selection makes :func:`plan_batches` group same-design jobs.
 #: ``auto`` is included because it may resolve to the native kernel, which
 #: amortises trace marshalling and parameter setup across a batch.
-GROUPING_KERNELS = frozenset({"vector", "native", "auto"})
+GROUPING_KERNELS = frozenset({"native", "auto"})
 
 
-def vector_group_key(job: SimulationJob) -> "tuple | None":
-    """Batching key for the batched kernels, or ``None`` if the job can't batch.
+def batch_group_key(job: SimulationJob) -> "tuple | None":
+    """Batching key for the native kernel, or ``None`` if the job can't batch.
 
-    Core-study jobs with a hook-free bug model group by (config, bug, step)
-    content; everything else (memory study, hook-overriding bugs) executes
-    singly on the scalar path.  Vector and native eligibility are the same
-    predicate (``supports_native`` delegates to ``supports_vector``), so one
-    key serves every batched kernel.
+    Core-study jobs with a hook-free bug model (the native kernel's
+    eligibility predicate) group by (config, bug, step) content; everything
+    else (memory study, hook-overriding bugs) executes singly on the scalar
+    path.
     """
-    if job.study != CORE_STUDY or not supports_vector(job.bug):
+    if job.study != CORE_STUDY or not is_hook_free(job.bug):
         return None
     return (config_fingerprint(job.config), bug_fingerprint(job.bug), job.step)
 
@@ -114,7 +113,7 @@ def plan_batches(
 
     With the scalar kernel every job is its own unit (exactly the historic
     behaviour).  With a kernel in :data:`GROUPING_KERNELS`, jobs sharing a
-    :func:`vector_group_key` merge into one unit, anchored at the position
+    :func:`batch_group_key` merge into one unit, anchored at the position
     of the group's first job, and execute as one
     :func:`~repro.coresim.simulator.simulate_trace_batch` call.  Planning
     is a pure function of the chunk, so every backend produces the same
@@ -125,7 +124,7 @@ def plan_batches(
     units: list[list[tuple[int, SimulationJob]]] = []
     group_unit: dict[tuple, list[tuple[int, SimulationJob]]] = {}
     for index, job in chunk:
-        key = vector_group_key(job)
+        key = batch_group_key(job)
         if key is None:
             units.append([(index, job)])
             continue

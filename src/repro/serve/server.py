@@ -44,6 +44,7 @@ import sys
 import threading
 import time
 
+from ..coresim.simulator import KERNELS
 from ..runtime import ResultStore
 from ..runtime.framing import (
     ERROR,
@@ -436,7 +437,7 @@ def main(argv: "list[str] | None" = None) -> int:
     run.add_argument("--store", default=None,
                      help="persistent result store backing the warm path")
     run.add_argument("--kernel", default=None,
-                     choices=["scalar", "vector", "native", "auto"],
+                     choices=KERNELS,
                      help="simulation kernel for probe batches "
                           "(default: REPRO_KERNEL, else auto)")
     run.set_defaults(func=_cmd_run)

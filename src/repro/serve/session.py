@@ -151,7 +151,7 @@ class ServingSession:
     # -- the request path ------------------------------------------------------
 
     def _simulate_item(self, config, bug) -> tuple[dict, int, int]:
-        """Simulate one item's probes, dedup-first, lockstep-batched misses.
+        """Simulate one item's probes, dedup-first, batched misses.
 
         Returns ``(series_by_probe, executed, store_hits)``.
         """
@@ -205,7 +205,7 @@ class ServingSession:
         """Serve a probe batch, yielding per-item verdicts as they complete.
 
         *items* yields ``(config, bug-or-None)`` pairs.  Within an item the
-        store-missing probes execute as one lockstep batch; across items the
+        store-missing probes execute as one batch unit; across items the
         generator streams, so the first verdict leaves the daemon while
         later items are still simulating.
         """

@@ -208,7 +208,6 @@ class TestCounterContract:
         "path,lane",
         [
             ("src/repro/coresim/pipeline.py", "scalar"),
-            ("src/repro/coresim/vector.py", "vector"),
             ("src/repro/coresim/native/kernel.py", "native"),
         ],
     )
@@ -231,7 +230,7 @@ class TestCounterContract:
             '"commit.idle_cyclez"',
         )
         messages = [f.message for f in counter_findings(overlay)]
-        for lane in ("scalar", "vector", "native"):
+        for lane in ("scalar", "native"):
             assert any(
                 f"lane '{lane}'" in m and "commit.idle_cyclez" in m
                 for m in messages
@@ -254,32 +253,19 @@ class TestCounterContract:
         assert any("rob_size" in m for m in messages), messages
         assert any("rob_sizz" in m for m in messages), messages
 
-    def test_vector_gaining_bug_counter_flagged(self):
-        # The three bug-only counters are exempt *because* vector never emits
-        # them; a vector emission site must trip the exemption check.
-        text = (REPO_ROOT / "src/repro/coresim/vector.py").read_text("utf-8")
-        overlay = {
-            "src/repro/coresim/vector.py": text
-            + '\n_SMUGGLED = "bug.extra_delay_cycles"\n'
-        }
-        messages = [f.message for f in counter_findings(overlay)]
-        assert any(
-            "bug.extra_delay_cycles" in m and "vector" in m for m in messages
-        ), messages
-
     def test_manifest_kernel_skew_detected(self):
         manifest = json.loads(
             (REPO_ROOT / "tests/data/counter_manifest.json").read_text("utf-8")
         )
-        manifest["kernels"]["vector"] = [
-            n for n in manifest["kernels"]["vector"] if n != "commit.instructions"
+        manifest["kernels"]["native"] = [
+            n for n in manifest["kernels"]["native"] if n != "commit.instructions"
         ]
         overlay = {
             "tests/data/counter_manifest.json": json.dumps(manifest)
         }
         messages = [f.message for f in counter_findings(overlay)]
         assert any(
-            "'vector'" in m and "'commit.instructions'" in m for m in messages
+            "'native'" in m and "'commit.instructions'" in m for m in messages
         ), messages
 
     def test_manifest_unknown_name_detected(self):
@@ -372,15 +358,6 @@ class TestHookContract:
             "        return True\n"
         )
         assert hook_contract.check_overrides(tree_with({path: source})) == []
-
-    def test_supports_native_must_defer(self):
-        overlay = _mutate(
-            "src/repro/coresim/native/kernel.py",
-            "return supports_vector(bug)",
-            "return True",
-        )
-        findings = hook_contract.check_native_defers(tree_with(overlay))
-        assert findings and "supports_vector" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

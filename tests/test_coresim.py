@@ -159,7 +159,7 @@ class TestPipeline:
 class TestHookOverrideDetection:
     """Regression tests for the class-level hook-override contract.
 
-    The pipeline (and the vector kernel's eligibility check) detect
+    The pipeline (and the native kernel's eligibility check) detect
     overridden hooks once, at construction, by comparing class attributes
     against :class:`CoreBugModel`.  A hook attached to the subclass *after*
     class creation — a pattern bug prototypes use — must still be detected:
@@ -197,19 +197,19 @@ class TestHookOverrideDetection:
         )
 
     def test_late_override_excluded_from_vector_kernel(self):
-        from repro.coresim import supports_vector
+        from repro.coresim import supports_native
 
         class LateDelay(CoreBugModel):
             name = "late-delay"
 
-        assert supports_vector(LateDelay())  # nothing overridden yet
+        assert supports_native(LateDelay())  # nothing overridden yet
         LateDelay.extra_issue_delay = lambda self, uop, context: 1
-        assert not supports_vector(LateDelay()), (
-            "vector eligibility must see post-creation hook overrides"
+        assert not supports_native(LateDelay()), (
+            "native eligibility must see post-creation hook overrides"
         )
 
     def test_structural_hooks_keep_vector_eligibility(self):
-        from repro.coresim import supports_vector
+        from repro.coresim import supports_native
 
         class Structural(CoreBugModel):
             name = "structural"
@@ -220,4 +220,4 @@ class TestHookOverrideDetection:
             def bp_table_entries(self, configured):
                 return configured // 2
 
-        assert supports_vector(Structural())
+        assert supports_native(Structural())

@@ -1,9 +1,8 @@
 """Differential-testing oracle for the simulation kernels.
 
-Four implementations of the core model must agree bit-for-bit on every
+Three implementations of the core model must agree bit-for-bit on every
 sampled counter: the frozen seed pipeline (``coresim/_reference``), the
-optimized scalar pipeline (PR 2), the numpy-batched lockstep vector
-kernel (``coresim/vector``) and the compiled C native kernel
+optimized scalar pipeline and the compiled C native kernel
 (``coresim/native``).  This suite grows the hand-picked equivalence
 matrix of ``test_perf_equivalence.py`` into a *generator*: seeded random
 (synthetic trace, preset mutation, bug x severity) triples hammer the
@@ -51,10 +50,8 @@ from repro.coresim import (
     simulate_trace,
     simulate_trace_batch,
     supports_native,
-    supports_vector,
 )
 from repro.coresim._reference import reference_simulate_trace
-from repro.coresim.vector import simulate_batch
 from repro.runtime import JobEngine, ResultStore, SimulationJob, TraceRegistry
 from repro.uarch import all_core_microarches, core_microarch
 from repro.workloads import (
@@ -173,7 +170,7 @@ def _mutate_preset(rng: random.Random, config):
 
 
 def _random_bug(rng: random.Random):
-    """None, a structural (vector-eligible) bug, or a hook bug x severity."""
+    """None, a structural (native-eligible) bug, or a hook bug x severity."""
     roll = rng.random()
     if roll < 0.25:
         return None
@@ -230,7 +227,7 @@ def _fuzz_cases():
 
 
 class TestDifferentialFuzz:
-    """reference == scalar == vector == native over seeded random triples."""
+    """reference == scalar == native over seeded random triples."""
 
     def test_seed_is_reported(self, capsys):
         print(f"[differential] REPRO_FUZZ_SEED={FUZZ_SEED}")
@@ -243,10 +240,6 @@ class TestDifferentialFuzz:
             f"seed={FUZZ_SEED} case={case} config={config.name} "
             f"bug={getattr(bug, 'name', None)} step={step} warmup={warmup} "
             f"(replay: REPRO_FUZZ_SEED={FUZZ_SEED})"
-        )
-        vector_results = simulate_trace_batch(
-            config, traces, bug=bug, step_cycles=step, warmup=warmup,
-            kernel="vector",
         )
         # kernel="native" always runs: ineligible bugs (and compiler-less
         # hosts) fall back to scalar, so the comparison stays meaningful —
@@ -265,9 +258,6 @@ class TestDifferentialFuzz:
             )
             _assert_identical(reference, scalar, f"{context} lane={lane} ref-vs-scalar")
             _assert_identical(
-                scalar, vector_results[lane], f"{context} lane={lane} scalar-vs-vector"
-            )
-            _assert_identical(
                 scalar, native_results[lane], f"{context} lane={lane} scalar-vs-native"
             )
 
@@ -277,35 +267,44 @@ class TestDifferentialFuzz:
 
 
 # ---------------------------------------------------------------------------
-# Vector kernel unit behaviour
+# Kernel selection and scalar fallback
 # ---------------------------------------------------------------------------
 
 
 class TestVectorKernel:
-    def test_supports_vector_classification(self):
-        assert supports_vector(None)
-        assert supports_vector(RegisterReduction(8))
-        assert supports_vector(BPTableReduction(512))
-        assert not supports_vector(SerializeOpcode(Opcode.XOR))
-        assert not supports_vector(L2LatencyBug(10))
-        assert not supports_vector(MispredictPenalty(9))
+    """Kernel selection and fallback.  The numpy vector kernel this class was
+    named for is retired; the name is kept so the test ids stay stable."""
 
     def test_kernel_resolution(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert resolve_kernel(None) == "scalar"
-        assert resolve_kernel("vector") == "vector"
         assert resolve_kernel("native") == "native"
         assert resolve_kernel("auto") == "auto"
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        assert resolve_kernel(None) == "vector"
-        assert resolve_kernel("scalar") == "scalar"
         monkeypatch.setenv("REPRO_KERNEL", "native")
         assert resolve_kernel(None) == "native"
+        assert resolve_kernel("scalar") == "scalar"
         with pytest.raises(ValueError):
             resolve_kernel("simd")
-        assert set(KERNELS) == {"scalar", "vector", "native", "auto"}
+        # the retired vector kernel is rejected, naming what is available
+        with pytest.raises(ValueError, match="available"):
+            resolve_kernel("vector")
+        monkeypatch.setenv("REPRO_KERNEL", "vector")
+        with pytest.raises(ValueError, match="available"):
+            resolve_kernel(None)
+        assert KERNELS == ("scalar", "native", "auto")
+
+    def test_supports_vector_classification(self):
+        """The hook-free classification the vector kernel used lives on as
+        the native kernel's eligibility predicate."""
+        assert supports_native(None)
+        assert supports_native(RegisterReduction(8))
+        assert supports_native(BPTableReduction(512))
+        assert not supports_native(SerializeOpcode(Opcode.XOR))
+        assert not supports_native(L2LatencyBug(10))
+        assert not supports_native(MispredictPenalty(9))
 
     def test_auto_policy_never_picks_vector(self):
-        """auto resolves to native (eligible + built) or scalar, never vector."""
+        """auto resolves to native (eligible + built) or scalar."""
         for bug in (None, RegisterReduction(8), SerializeOpcode(Opcode.XOR)):
             for lanes in (1, 8, 192):
                 picked = choose_kernel(bug, lanes=lanes)
@@ -314,8 +313,8 @@ class TestVectorKernel:
                     assert picked == "scalar"
 
     def test_hook_bug_falls_back_to_scalar(self, monkeypatch):
-        """kernel=vector with an ineligible bug must still be exact."""
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
+        """REPRO_KERNEL=native with an ineligible bug must still be exact."""
+        monkeypatch.setenv("REPRO_KERNEL", "native")
         program = build_program(workload("403.gcc"), seed=3)
         trace = decode_trace(TraceGenerator(program, seed=4).generate(600))
         config = core_microarch("Skylake")
@@ -327,7 +326,7 @@ class TestVectorKernel:
         _assert_identical(scalar, env_result, "hook-bug fallback")
 
     def test_ragged_batch_with_straggler_fallback(self):
-        """Mixed trace lengths drive compaction and the scalar hand-off."""
+        """Many short traces plus one long straggler in one native batch."""
         program = build_program(workload("403.gcc"), seed=7)
         traces = [
             decode_trace(TraceGenerator(program, seed=100 + i).generate(150))
@@ -337,31 +336,10 @@ class TestVectorKernel:
             decode_trace(TraceGenerator(program, seed=999).generate(2500))
         )
         config = core_microarch("Cedarview")
-        vec = simulate_trace_batch(config, traces, step_cycles=256, kernel="vector")
-        for trace, got in zip(traces, vec):
+        batch = simulate_trace_batch(config, traces, step_cycles=256, kernel="native")
+        for trace, got in zip(traces, batch):
             want = simulate_trace(config, trace, step_cycles=256, kernel="scalar")
             _assert_identical(want, got, "ragged+fallback")
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_batch(core_microarch("K8"), [decode_trace([])], step_cycles=64)
-
-    def test_batch_of_one_matches_scalar(self, gcc_trace, skylake):
-        trace = decode_trace(gcc_trace[:700])
-        scalar = simulate_trace(skylake, trace, step_cycles=256, kernel="scalar")
-        vector = simulate_trace(skylake, trace, step_cycles=256, kernel="vector")
-        _assert_identical(scalar, vector, "batch-of-one")
-
-    def test_sub_batch_split_matches_unsplit(self, gcc_program):
-        traces = [
-            decode_trace(TraceGenerator(gcc_program, seed=60 + i).generate(300))
-            for i in range(9)
-        ]
-        config = core_microarch("K8")
-        whole = simulate_batch(config, traces, step_cycles=256)
-        split = simulate_batch(config, traces, step_cycles=256, max_lanes=4)
-        for a, b in zip(whole, split):
-            _assert_identical(a, b, "sub-batch split")
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +381,6 @@ class TestGoldenDigests:
                 f"{config.name}: scalar kernel drifted from the pinned oracle "
                 "(regenerate via tests/data/make_golden.py ONLY for a "
                 "deliberate semantic change)"
-            )
-
-    def test_vector_kernel_matches_golden(self, golden, make_golden):
-        trace = make_golden.golden_trace()
-        for config in all_core_microarches():
-            result = simulate_trace_batch(
-                config,
-                [trace],
-                step_cycles=make_golden.STEP_CYCLES,
-                kernel="vector",
-            )[0]
-            digest = make_golden.series_digest(result)
-            assert digest == golden["digests"][config.name], (
-                f"{config.name}: vector kernel drifted from the pinned oracle"
             )
 
     def test_native_kernel_matches_golden(self, golden, make_golden):
@@ -462,50 +426,6 @@ class TestCrossKernelEngine:
             for i in range(4)
         ]
         return registry, ids
-
-    def test_vector_engine_results_match_scalar(self, synthetic_registry, monkeypatch):
-        registry, ids = synthetic_registry
-        jobs = _engine_jobs(registry, ids)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        scalar = JobEngine(jobs=1).run(jobs, registry.traces)
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        vector = JobEngine(jobs=1).run(jobs, registry.traces)
-        for a, b in zip(scalar, vector):
-            assert a.cycles == b.cycles
-            assert set(a.counters) == set(b.counters)
-            for name in a.counters:
-                assert np.array_equal(a.counters[name], b.counters[name]), name
-
-    def test_scalar_store_replays_under_vector(
-        self, synthetic_registry, tmp_path, monkeypatch
-    ):
-        """Content digests must not depend on the kernel: a store filled by
-        the scalar kernel serves a REPRO_KERNEL=vector run with executed=0."""
-        registry, ids = synthetic_registry
-        jobs = _engine_jobs(registry, ids)
-        store = ResultStore(tmp_path / "store")
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        filler = JobEngine(jobs=1, store=store)
-        filler.run(jobs, registry.traces)
-        assert filler.stats.executed == len(jobs)
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        replayer = JobEngine(jobs=1, store=store)
-        replayer.run(jobs, registry.traces)
-        assert replayer.stats.executed == 0
-        assert replayer.stats.store_hits == len(jobs)
-
-    def test_vector_store_replays_under_scalar(
-        self, synthetic_registry, tmp_path, monkeypatch
-    ):
-        registry, ids = synthetic_registry
-        jobs = _engine_jobs(registry, ids)
-        store = ResultStore(tmp_path / "store")
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        JobEngine(jobs=1, store=store).run(jobs, registry.traces)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        replayer = JobEngine(jobs=1, store=store)
-        replayer.run(jobs, registry.traces)
-        assert replayer.stats.executed == 0
 
     def test_native_engine_results_match_scalar(self, synthetic_registry, monkeypatch):
         registry, ids = synthetic_registry
@@ -569,26 +489,25 @@ class TestCrossKernelEngine:
         store = ResultStore(tmp_path / "store")
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         scalar = JobEngine(jobs=1, store=store).run(jobs, registry.traces)
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
+        monkeypatch.setenv("REPRO_KERNEL", "native")
         replayer = JobEngine(jobs=1, store=store)
-        vector = replayer.run(jobs, registry.traces)
+        replayer.run(jobs, registry.traces)
         assert replayer.stats.executed == 0  # digests are kernel-independent
-        # and a fresh vector run over the same jobs is bit-identical
+        # and a fresh native run over the same jobs is bit-identical
         fresh = JobEngine(jobs=1).run(jobs, registry.traces)
         for a, b in zip(scalar, fresh):
             assert a.cycles == b.cycles
             for name in a.counters:
                 assert np.array_equal(a.counters[name], b.counters[name]), name
-        del vector
 
     def test_grouped_planning_keeps_sweeps_contiguous(
         self, synthetic_registry, monkeypatch
     ):
-        from repro.runtime.execution import vector_group_key
+        from repro.runtime.execution import batch_group_key
 
         registry, ids = synthetic_registry
         jobs = _engine_jobs(registry, ids)
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
+        monkeypatch.setenv("REPRO_KERNEL", "native")
         engine = JobEngine(jobs=2)
         plan = engine._plan_chunks(list(enumerate(jobs)), registry.traces)
         # every job appears exactly once
@@ -596,7 +515,7 @@ class TestCrossKernelEngine:
         assert seen == list(range(len(jobs)))
         # within each chunk, batchable groups are contiguous runs
         for chunk in plan:
-            keys = [vector_group_key(job) for _, job in chunk]
+            keys = [batch_group_key(job) for _, job in chunk]
             compact = [k for k, prev in zip(keys, [object()] + keys) if k != prev]
             groupable = [k for k in compact if k is not None]
             assert len(groupable) == len(set(groupable)), "group split apart"
@@ -611,10 +530,10 @@ class TestCrossKernelEngine:
         planning batches the workers would execute job by job."""
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            JobEngine(jobs=2, kernel="vector")
+            JobEngine(jobs=2, kernel="native")
         # consistent environment + argument is fine
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        JobEngine(jobs=2, kernel="vector").close()
+        monkeypatch.setenv("REPRO_KERNEL", "native")
+        JobEngine(jobs=2, kernel="native").close()
         # inline backends honour the argument alone
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        JobEngine(jobs=1, kernel="vector").close()
+        JobEngine(jobs=1, kernel="native").close()

@@ -19,6 +19,7 @@ import pytest
 from repro.bugs.core_bugs import RegisterReduction, SerializeOpcode
 from repro.bugs.registry import core_bug_suite
 from repro.coresim import choose_kernel, simulate_trace
+from repro.coresim.hooks import is_hook_free
 from repro.coresim.native import (
     CACHE_ENV_VAR,
     COMPILER_ENV_VAR,
@@ -29,7 +30,6 @@ from repro.coresim.native import (
     supports_native,
 )
 from repro.coresim.native import build as native_build
-from repro.coresim.vector import supports_vector
 from repro.uarch import core_microarch
 from repro.workloads import (
     Opcode,
@@ -68,11 +68,30 @@ def short_trace():
 
 
 class TestEligibility:
+    def test_hook_free_suite_variants_are_pinned(self):
+        """Exactly four suite variants (plus the bug-free design) are
+        hook-free, so exactly those may run on the native kernel."""
+        assert supports_native(None)
+        hook_free = {
+            bug.name
+            for variants in core_bug_suite().values()
+            for bug in variants
+            if supports_native(bug)
+        }
+        assert hook_free == {
+            "bp_table_minus_4064",
+            "bp_table_minus_3840",
+            "register_reduction_48",
+            "register_reduction_16",
+        }
+
     def test_supports_native_mirrors_supports_vector(self):
+        """Native eligibility is the hook-free predicate the retired vector
+        kernel's ``supports_vector`` became."""
         assert supports_native(None)
         for _, variants in sorted(core_bug_suite().items()):
             for bug in variants:
-                assert supports_native(bug) == supports_vector(bug), bug.name
+                assert supports_native(bug) == is_hook_free(bug), bug.name
 
     def test_ineligible_bug_raises_unavailable(self, short_trace):
         if not native_available():

@@ -405,3 +405,20 @@ def test_sigterm_drains_subprocess_to_exit_zero(model_path, tmp_path):
     assert process.returncode == 0, f"daemon exited {process.returncode}:\n{output}"
     assert "listening on" in output
     assert "drained" in output
+
+
+# -- command line -------------------------------------------------------------
+
+
+def test_run_kernel_choices_are_the_simulator_kernels(capsys):
+    """``repro-serve run --kernel`` offers exactly ``KERNELS``."""
+    from repro.coresim.simulator import KERNELS
+    from repro.serve.server import main as serve_main
+
+    with pytest.raises(SystemExit) as excinfo:
+        serve_main(["run", "model.pkl", "--kernel", "vector"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'vector'" in err
+    for kernel in KERNELS:
+        assert repr(kernel) in err
