@@ -3,7 +3,8 @@
 Least-squares gradient boosting (Friedman 2001) over the CART trees of
 :mod:`repro.ml.tree`, with shrinkage, optional row subsampling and early
 stopping on a validation set.  ``GBT-150`` / ``GBT-250`` in the paper's tables
-correspond to 150 / 250 boosting rounds.
+correspond to 150 / 250 boosting rounds.  Prediction stacks the trees into
+one :class:`~repro.ml.tree.NodeTable` and walks all trees and rows at once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .base import FitResult, Regressor, validate_training_inputs
 from .metrics import mean_squared_error
 from .preprocessing import flatten_windows
-from .tree import RegressionTree
+from .tree import NodeTable, RegressionTree
 
 
 class GradientBoostedTrees(Regressor):
@@ -47,6 +48,8 @@ class GradientBoostedTrees(Regressor):
         self.name = f"GBT-{n_estimators}"
         self._trees: list[RegressionTree] = []
         self._base_prediction = 0.0
+        #: ``(table, roots, depth)`` of the stacked trees, built on first predict.
+        self._stacked: tuple[NodeTable, np.ndarray, int] | None = None
 
     def fit(
         self,
@@ -65,6 +68,7 @@ class GradientBoostedTrees(Regressor):
         y_validation = np.asarray(y_val, dtype=float) if has_val else None
 
         self._trees = []
+        self._stacked = None
         self._base_prediction = float(y.mean())
         predictions = np.full(len(y), self._base_prediction)
         val_predictions = (
@@ -104,6 +108,7 @@ class GradientBoostedTrees(Regressor):
                     rounds_without_improvement += 1
                     if rounds_without_improvement >= self.early_stopping_rounds:
                         self._trees = self._trees[:best_round]
+                        self._stacked = None
                         break
 
         final_pred = self.predict(X)
@@ -124,10 +129,16 @@ class GradientBoostedTrees(Regressor):
         if not self._trees:
             raise RuntimeError("model has not been fitted")
         X = flatten_windows(X)
-        prediction = np.full(len(X), self._base_prediction)
-        for tree in self._trees:
-            prediction += self.learning_rate * tree.predict(X)
-        return prediction
+        if self._stacked is None:
+            table, roots = NodeTable.stack([tree.nodes for tree in self._trees])
+            self._stacked = table, roots, max(tree.depth for tree in self._trees)
+        table, roots, depth = self._stacked
+        start = np.broadcast_to(roots[:, None], (len(roots), len(X)))
+        steps = self.learning_rate * table.value[table.descend(X, start, depth)]
+        # cumsum adds row after row, so each prediction is summed exactly as
+        # ((base + lr*tree_0) + lr*tree_1) + ..., in tree order.
+        base = np.full((1, len(X)), self._base_prediction)
+        return np.cumsum(np.vstack([base, steps]), axis=0)[-1]
 
     @property
     def n_trees_fitted(self) -> int:

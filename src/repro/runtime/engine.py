@@ -260,12 +260,16 @@ class JobEngine:
     ) -> list[list[tuple[int, SimulationJob]]]:
         """Chunk planning for the batching kernels: group, then split.
 
-        Jobs sharing a :func:`batch_group_key` are laid out contiguously —
-        a chunk is the unit a worker batches, so scattering a sweep's jobs
+        Jobs sharing a :func:`batch_group_key` go to the same chunk — a
+        chunk is the unit a worker batches, so scattering a sweep's jobs
         across chunks would forfeit batched execution.  Groups are ordered
         costliest-first (cost proxy as in LJF) and split only at the
         batch chunk capacity; ungroupable jobs ride along in input order.
-        The plan is a deterministic function of the batch.
+        Each chunk then runs in input order, so a job listed before a
+        failing one has run and is kept when the chunk fails;
+        :func:`~repro.runtime.execution.plan_batches` still merges a
+        group's jobs wherever they sit in the chunk.  The plan is a
+        deterministic function of the batch.
         """
         cap = self.chunk_size or BATCH_CHUNK_SIZE
         groups: dict[object, list[tuple[int, SimulationJob]]] = {}
@@ -290,7 +294,7 @@ class JobEngine:
                 current.extend(piece)
         if current:
             chunks.append(current)
-        return chunks
+        return [sorted(chunk, key=lambda item: item[0]) for chunk in chunks]
 
     def _plan_chunks(
         self,

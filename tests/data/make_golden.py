@@ -1,6 +1,6 @@
 """Regenerate the pinned golden artifacts.
 
-Two files are produced:
+Three files are produced:
 
 ``golden_series.json``
     Pinned counter-series digests of the frozen seed pipeline.
@@ -26,12 +26,28 @@ Run this ONLY for a deliberate, reviewed change to simulation semantics::
     PYTHONPATH=src python tests/data/make_golden.py
 
 and commit the refreshed JSON together with the change that motivated it.
+
+``golden_detection.json``
+    Digests of the **detection outputs**: the Table V and Table VII metric
+    rows at a tiny in-test scale (:data:`DETECTION_SCALE`), the per-probe
+    stage-1 predictions, and GBT predictions on two seeded fixtures shaped
+    like the single-stage baseline's and stage 1's training sets.
+    ``tests/test_experiments.py`` recomputes them, so any change to what
+    the detector learns or reports is caught.  Regenerate it separately::
+
+        PYTHONPATH=src python tests/data/make_golden.py detection
+
+    ONLY for a deliberate change to detection semantics, justified in
+    ``CHANGES.md``.  A pure speed-up of the ML layer must leave it unchanged.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 #: Sampling step used for every golden simulation.
 STEP_CYCLES = 256
@@ -61,6 +77,141 @@ def series_digest(result) -> str:
     hasher.update(b"|ipc|")
     hasher.update(series.ipc.astype("<f8").tobytes())
     return hasher.hexdigest()
+
+
+#: The in-test detection scale: ``SMOKE`` reduced to one benchmark of ~9k
+#: instructions and 4/2/2 designs, so both tables regenerate in seconds.
+DETECTION_SCALE = dict(
+    name="golden",
+    benchmarks=("403.gcc",),
+    instructions_per_benchmark=9_000,
+    interval_size=1_000,
+    train_arch_limit=4,
+    stage2_arch_limit=2,
+    test_arch_limit=2,
+    memory_benchmarks=("403.gcc",),
+    memory_instructions=4_000,
+    memory_step_instructions=500,
+)
+
+
+def detection_scale():
+    """The :class:`ExperimentScale` the detection golden is computed at."""
+    from repro.experiments.common import SMOKE
+
+    return dataclasses.replace(SMOKE, **DETECTION_SCALE)
+
+
+def rows_digest(rows) -> str:
+    """Digest of experiment metric rows; floats enter bit-exactly."""
+    hasher = hashlib.blake2b(digest_size=16)
+    for row in rows:
+        for key, value in row.items():
+            text = float(value).hex() if isinstance(value, float) else str(value)
+            hasher.update(f"{key}={text};".encode())
+        hasher.update(b"|")
+    return hasher.hexdigest()
+
+
+def _update_floats(hasher, values) -> None:
+    hasher.update(np.asarray(values, dtype="<f8").tobytes())
+
+
+def stage1_digest(context) -> str:
+    """Digest of every probe model's stage-1 predictions on every design."""
+    from repro.detect.detector import TwoStageDetector
+
+    detector = TwoStageDetector(context.detection_setup())
+    detector.prepare()
+    setup = detector.setup
+    hasher = hashlib.blake2b(digest_size=16)
+    for probe in setup.probes:
+        model = detector.models[probe.name]
+        for design in setup.train_designs + setup.val_designs + setup.test_designs:
+            series = setup.cache.get(probe, design).series
+            _simulated, inferred = model.predict_series(
+                series, design.feature_vector()
+            )
+            hasher.update(f"{probe.name}|{design.name}|".encode())
+            _update_floats(hasher, inferred)
+    return hasher.hexdigest()
+
+
+def gbt_fixture_digests() -> dict:
+    """GBT predictions on seeded fixtures shaped like the real training sets.
+
+    ``baseline``: 10 x 24 with {0, 1} targets, GBT-250 at depth 3 (the
+    single-stage baseline's classifier).  ``stage1``: 6 x 22 with a 4-row
+    validation set, GBT-150 (a stage-1 model with early stopping).  Half of
+    each matrix is drawn from a few integers so that split ties occur.
+    """
+    from repro.ml import GradientBoostedTrees, build_model
+
+    def matrix(rng, rows, cols):
+        X = rng.normal(size=(rows, cols))
+        X[:, ::2] = rng.integers(0, 3, size=(rows, (cols + 1) // 2))
+        return X
+
+    digests = {}
+    rng = np.random.default_rng(20210227)
+    X, X_test = matrix(rng, 10, 24), matrix(rng, 16, 24)
+    y = (rng.random(10) > 0.5).astype(float)
+    model = GradientBoostedTrees(n_estimators=250, max_depth=3, seed=11)
+    fit = model.fit(X, y)
+    hasher = hashlib.blake2b(digest_size=16)
+    _update_floats(hasher, fit.history)
+    _update_floats(hasher, model.predict(X))
+    _update_floats(hasher, model.predict(X_test))
+    digests["baseline_gbt250_10x24"] = hasher.hexdigest()
+
+    X, X_val, X_test = matrix(rng, 6, 22), matrix(rng, 4, 22), matrix(rng, 16, 22)
+    y, y_val = rng.normal(1.5, 0.3, size=6), rng.normal(1.5, 0.3, size=4)
+    model = build_model("GBT-150", seed=7)
+    fit = model.fit(X, y, X_val, y_val)
+    hasher = hashlib.blake2b(digest_size=16)
+    hasher.update(f"trees={model.n_trees_fitted};".encode())
+    _update_floats(hasher, fit.history)
+    for rows in (X, X_val, X_test):
+        _update_floats(hasher, model.predict(rows))
+    digests["stage1_gbt150_6x22_val"] = hasher.hexdigest()
+    return digests
+
+
+def detection_digests() -> dict:
+    """Every digest pinned in ``golden_detection.json``."""
+    from repro.experiments import table5_detection, table7_memory
+    from repro.experiments.common import ExperimentContext
+
+    with ExperimentContext(detection_scale(), jobs=1) as context:
+        digests = {
+            "tab5_rows": rows_digest(table5_detection.run(context=context).rows),
+            "tab7_rows": rows_digest(table7_memory.run(context=context).rows),
+            "stage1_predictions": stage1_digest(context),
+        }
+    digests.update(gbt_fixture_digests())
+    return digests
+
+
+def main_detection() -> int:
+    digests = detection_digests()
+    for name, digest in digests.items():
+        print(f"{name:24s} {digest}")
+    payload = {
+        "comment": (
+            "Digests of detection outputs: Table V/VII rows at the in-test "
+            "scale, per-probe stage-1 predictions and GBT fixture "
+            "predictions. Regenerate ONLY via 'make_golden.py detection' "
+            "for a deliberate change, justified in CHANGES.md."
+        ),
+        "scale": DETECTION_SCALE,
+        "digests": digests,
+    }
+    out = Path(__file__).parent / "golden_detection.json"
+    with open(out, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote {out}")
+    return 0
 
 
 def main() -> int:
@@ -131,4 +282,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["detection"]:
+        sys.exit(main_detection())
     sys.exit(main())

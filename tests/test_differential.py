@@ -53,6 +53,7 @@ from repro.coresim import (
 )
 from repro.coresim._reference import reference_simulate_trace
 from repro.runtime import JobEngine, ResultStore, SimulationJob, TraceRegistry
+from repro.runtime.execution import batch_group_key, plan_batches
 from repro.uarch import all_core_microarches, core_microarch
 from repro.workloads import (
     MicroOp,
@@ -503,7 +504,6 @@ class TestCrossKernelEngine:
     def test_grouped_planning_keeps_sweeps_contiguous(
         self, synthetic_registry, monkeypatch
     ):
-        from repro.runtime.execution import batch_group_key
 
         registry, ids = synthetic_registry
         jobs = _engine_jobs(registry, ids)
@@ -519,6 +519,29 @@ class TestCrossKernelEngine:
             compact = [k for k, prev in zip(keys, [object()] + keys) if k != prev]
             groupable = [k for k in compact if k is not None]
             assert len(groupable) == len(set(groupable)), "group split apart"
+
+    def test_grouped_chunks_run_in_input_order(self, synthetic_registry, monkeypatch):
+        """Grouped planning keeps its chunk membership but runs each chunk in
+        input order, so the jobs before a failing one have run when it fails."""
+        registry, ids = synthetic_registry
+        jobs = _engine_jobs(registry, ids)
+        interleaved = jobs[::2] + jobs[1::2]  # every sweep straddles the middle
+        monkeypatch.setenv("REPRO_KERNEL", "native")
+        engine = JobEngine(jobs=1, chunk_size=8)
+        plan = engine._plan_chunks(list(enumerate(interleaved)), registry.traces)
+        positions = [[i for i, _ in chunk] for chunk in plan]
+        assert positions == [
+            [0, 1, 2, 3, 12, 13, 14, 15],
+            [6, 7, 8, 9, 18, 19, 20, 21],
+            [4, 5, 10, 11, 16, 17, 22, 23],
+        ]
+        # and the batcher still merges each sweep into one unit
+        for chunk in plan:
+            units = plan_batches(chunk, "native")
+            keys = [batch_group_key(unit[0][1]) for unit in units]
+            grouped = [key for key in keys if key is not None]
+            assert len(grouped) == len(set(grouped))
+            assert all(len(unit) == 4 for unit in units if batch_group_key(unit[0][1]))
 
     def test_engine_kernel_argument_validated(self):
         with pytest.raises(ValueError):

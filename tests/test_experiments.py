@@ -1,5 +1,9 @@
 """Tests for the experiments harness (scales, context, rendering, runner)."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -10,6 +14,12 @@ from repro.experiments import (
     render_table,
 )
 from repro.experiments.runner import EXPERIMENTS, run_all
+
+DATA_DIR = Path(__file__).parent / "data"
+DETECTION_DIGESTS = (
+    "tab5_rows", "tab7_rows", "stage1_predictions",
+    "baseline_gbt250_10x24", "stage1_gbt150_6x22_val",
+)
 
 
 class TestScales:
@@ -101,3 +111,36 @@ class TestRunner:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             run_all("smoke", only=["tab99"])
+
+
+class TestDetectionGolden:
+    """Detection outputs must match ``tests/data/golden_detection.json``.
+
+    The digests were computed by ``tests/data/make_golden.py detection``;
+    a change to any of them must be deliberate and justified in CHANGES.md.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(DATA_DIR / "golden_detection.json", "r", encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @pytest.fixture(scope="class")
+    def digests(self):
+        spec = importlib.util.spec_from_file_location(
+            "make_golden", DATA_DIR / "make_golden.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.detection_digests()
+
+    def test_golden_covers_every_output(self, golden):
+        assert set(golden["digests"]) == set(DETECTION_DIGESTS)
+
+    @pytest.mark.parametrize("name", DETECTION_DIGESTS)
+    def test_digest_matches_golden(self, golden, digests, name):
+        assert digests[name] == golden["digests"][name], (
+            f"{name} drifted from tests/data/golden_detection.json "
+            "(regenerate via 'make_golden.py detection' ONLY for a "
+            "deliberate change, justified in CHANGES.md)"
+        )

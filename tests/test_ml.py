@@ -24,6 +24,8 @@ from repro.ml import (
     r_squared,
 )
 
+from _reference_tree import ReferenceGradientBoostedTrees, ReferenceRegressionTree
+
 
 def _linear_data(n=300, f=8, noise=0.02, seed=0):
     rng = np.random.default_rng(seed)
@@ -181,3 +183,157 @@ class TestEngineFactory:
         for name in ("GBT", "5-SVM-100", "GBT-0", "banana"):
             with pytest.raises(ValueError):
                 build_model(name)
+
+
+# ---------------------------------------------------------------------------
+# Differential fuzz: the vectorised tree and GBT against the frozen oracle
+# ---------------------------------------------------------------------------
+
+#: Feature values drawn from this set collide, so split ties are common.
+_TIE_VALUES = (-1.0, 0.0, 0.5, 2.0)
+#: Targets whose squares (or their sums) overflow: the SSE holds inf and NaN.
+_HUGE_VALUES = (6e153, -9e153, 1.2e154, 1e200, 1.0, -3.0)
+#: Their squares sum to inf in some orders and stay finite in others, so one
+#: feature's SSE column can hold NaN while another's is finite: the only
+#: inputs on which the skip-a-NaN-feature rule decides the split.
+_EDGE_OF_OVERFLOW = (7.741001517595331e153, 7.741001517595047e153, 7.741001517595093e153)
+
+
+@st.composite
+def _matrix(draw, rows, cols):
+    element = draw(st.sampled_from([
+        st.sampled_from(_TIE_VALUES),
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+    ]))
+    X = np.array(draw(st.lists(element, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=float).reshape(rows, cols)
+    for column in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        X[:, column] = X[0, column]  # constant column
+    for column in draw(st.sets(st.integers(1, cols - 1), max_size=cols)) if cols > 1 else ():
+        X[:, column] = -X[:, column - 1]  # mirror image: equal SSEs, reversed order
+    if rows > 1 and draw(st.booleans()):
+        half = rows // 2
+        X[rows - half:] = X[:half]  # duplicate rows
+    return X
+
+
+@st.composite
+def _targets(draw, rows):
+    element = draw(st.sampled_from([
+        st.sampled_from((0.0, 1.0)),
+        st.floats(-5, 5, allow_nan=False, allow_infinity=False),
+        st.sampled_from(_HUGE_VALUES),
+        st.sampled_from(_EDGE_OF_OVERFLOW),
+        st.floats(1e153, 2e154),
+    ]))
+    return np.array(draw(st.lists(element, min_size=rows, max_size=rows)), dtype=float)
+
+
+@st.composite
+def _tree_case(draw):
+    rows, cols = draw(st.integers(1, 14)), draw(st.integers(1, 5))
+    params = dict(
+        max_depth=draw(st.integers(1, 5)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+        min_samples_split=draw(st.integers(2, 6)),
+    )
+    return draw(_matrix(rows, cols)), draw(_targets(rows)), params
+
+
+def _same_bits(actual, expected) -> bool:
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return (actual.shape == expected.shape
+            and np.array_equal(actual.astype(float).view(np.uint64),
+                               expected.astype(float).view(np.uint64)))
+
+
+def _preorder(node) -> list:
+    """(feature, threshold, value) of every reference node, in pre-order."""
+    if node.is_leaf:
+        return [(-1, 0.0, node.value)]
+    return [(node.feature, node.threshold, node.value),
+            *_preorder(node.left), *_preorder(node.right)]
+
+
+def _assert_same_tree(tree, reference):
+    feature, threshold, value = zip(*_preorder(reference._root))
+    assert np.array_equal(tree.nodes.feature, feature)
+    assert _same_bits(tree.nodes.threshold, threshold)
+    assert _same_bits(tree.nodes.value, value)
+
+
+class TestTreeMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_tree_case(), st.integers(0, 3))
+    def test_tree_structure_and_predictions(self, case, seed):
+        X, y, params = case
+        with np.errstate(all="ignore"):
+            tree = RegressionTree(**params).fit(X, y)
+            reference = ReferenceRegressionTree(**params).fit(X, y)
+            _assert_same_tree(tree, reference)
+            probe = np.vstack([X, np.random.default_rng(seed).normal(size=(5, X.shape[1]))])
+            assert _same_bits(tree.predict(probe), reference.predict(probe))
+
+    def test_nan_sse_skips_the_feature(self):
+        # y*y summed in feature 0's order overflows (every SSE of that column
+        # is inf or NaN) but in feature 1's order stays finite.  The scan
+        # skips feature 0 at its NaN and splits on feature 1.
+        y = np.array(_EDGE_OF_OVERFLOW)
+        X = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
+        params = dict(max_depth=1, min_samples_leaf=1, min_samples_split=2)
+        with np.errstate(all="ignore"):
+            tree = RegressionTree(**params).fit(X, y)
+            reference = ReferenceRegressionTree(**params).fit(X, y)
+        _assert_same_tree(tree, reference)
+        assert tree.nodes.feature[0] == 1
+
+    def test_ties_go_to_the_first_feature_then_the_first_split(self):
+        # Both features split off the last row perfectly: feature 0 at its
+        # last split point, its mirror image feature 1 at its first.
+        X = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        y = np.array([0.0, 0.0, 0.0, 1.0])
+        params = dict(max_depth=1, min_samples_leaf=1, min_samples_split=2)
+        tree = RegressionTree(**params).fit(X, y)
+        _assert_same_tree(tree, ReferenceRegressionTree(**params).fit(X, y))
+        assert tree.nodes.feature[0] == 0 and tree.nodes.threshold[0] == 0.5
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_gbt_predictions_and_early_stopping(self, data):
+        rows, cols = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 5))
+        X, y = data.draw(_matrix(rows, cols)), data.draw(_targets(rows))
+        val_rows = data.draw(st.integers(0, 5))
+        X_val = data.draw(_matrix(val_rows, cols)) if val_rows else None
+        y_val = data.draw(_targets(val_rows)) if val_rows else None
+        params = dict(
+            n_estimators=data.draw(st.integers(1, 15)),
+            learning_rate=data.draw(st.sampled_from((0.08, 0.3, 1.0))),
+            max_depth=data.draw(st.integers(1, 4)),
+            subsample=data.draw(st.sampled_from((0.5, 0.8, 1.0))),
+            min_samples_leaf=data.draw(st.integers(1, 3)),
+            early_stopping_rounds=data.draw(st.integers(1, 4)),
+            seed=data.draw(st.integers(0, 3)),
+        )
+        with np.errstate(all="ignore"):
+            model = GradientBoostedTrees(**params)
+            reference = ReferenceGradientBoostedTrees(**params)
+            try:
+                expected = reference.fit(X, y, X_val, y_val)
+            except RuntimeError:
+                # A validation loss that is never finite stops early with
+                # no trees kept; both then refuse to predict.
+                with pytest.raises(RuntimeError, match="not been fitted"):
+                    model.fit(X, y, X_val, y_val)
+                return
+            fit = model.fit(X, y, X_val, y_val)
+            assert model.n_trees_fitted == reference.n_trees_fitted
+            assert _same_bits(fit.history, expected.history)
+            assert _same_bits(fit.train_loss, expected.train_loss)
+            if val_rows:
+                assert _same_bits(fit.val_loss, expected.val_loss)
+            for tree, reference_tree in zip(model._trees, reference._trees):
+                _assert_same_tree(tree, reference_tree)
+            probe = np.random.default_rng(params["seed"]).normal(size=(7, cols))
+            for rows_in in (X, probe) + ((X_val,) if val_rows else ()):
+                assert _same_bits(model.predict(rows_in), reference.predict(rows_in))
+            assert model.predict(probe[:0]).shape == (0,)

@@ -298,8 +298,13 @@ class TestPersistentPoolDeterminism:
 
 
 class TestSchedulers:
-    def test_ljf_plan_is_cost_balanced_and_deterministic(self):
+    # These check the scheduler planners, which batching kernels bypass for
+    # grouped planning, so the REPRO_KERNEL of the environment is cleared.
+
+    def test_ljf_plan_is_cost_balanced_and_deterministic(self, monkeypatch):
         from repro.runtime.engine import JobEngine as Engine
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
 
         program = build_program(workload("403.gcc"), seed=11)
         registry = TraceRegistry()
@@ -337,9 +342,10 @@ class TestSchedulers:
         costliest = max(pending, key=lambda item: _job_cost(item[1], registry.traces))
         assert any(chunk[0] == costliest for chunk in plan_a)
 
-    def test_uniform_scheduler_matches_seed_chunking(self):
+    def test_uniform_scheduler_matches_seed_chunking(self, monkeypatch):
         from repro.runtime.engine import _chunked
 
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         engine = JobEngine(jobs=2, chunk_size=2, scheduler="uniform")
         pending = list(enumerate(range(7)))
         assert engine._plan_chunks(pending, {}) == _chunked(pending, 2)

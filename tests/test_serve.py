@@ -173,6 +173,19 @@ def test_load_rejects_unknown_format_version(model_path, tmp_path):
         load_model(path)
 
 
+def test_load_rejects_format_1_records(model_path, tmp_path):
+    """Format 1 pickled GBT models as per-node objects; it is not read."""
+    assert REGISTRY_FORMAT_VERSION == 2
+    with open(model_path, "rb") as handle:
+        record = pickle.load(handle)
+    record["format"] = 1
+    path = tmp_path / "format1.pkl"
+    with open(path, "wb") as handle:
+        pickle.dump(record, handle)
+    with pytest.raises(RegistryError, match="registry format 1 unsupported .*reads format 2"):
+        load_model(path)
+
+
 def test_load_rejects_tampered_schema(model_path, tmp_path):
     with open(model_path, "rb") as handle:
         record = pickle.load(handle)
