@@ -13,10 +13,10 @@
   (``python -m repro.workloads.ingest``: lists format
   (ChampSim/gem5/k6-style), instruction count, digest and optional SimPoint
   probes for each trace in a directory);
-* ``repro-worker`` — the remote execution worker
+* ``repro-worker`` — the execution worker
   (``python -m repro.runtime.worker``): serves simulation chunks over the
-  stdio frame protocol for the ``subprocess:`` and ``ssh://`` backends
-  (see ``docs/RUNTIME.md``);
+  stdio frame protocol to the ``cluster:N`` scheduler, which also backs
+  the ``subprocess:N`` and ``ssh://`` specs (see ``docs/RUNTIME.md``);
 * ``repro-store`` — result-store maintenance
   (``python -m repro.runtime.store_cli``: ``merge SRC... DST``, ``info``,
   ``reshard`` between the flat and ``shard=XX/`` layouts, ``gc --keep``

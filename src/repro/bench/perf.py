@@ -17,7 +17,7 @@ against:
   :class:`~repro.runtime.JobEngine`, run as two consecutive batches to
   exercise pool reuse, under both the cost-aware ``ljf`` scheduler and the
   seed-style ``uniform`` scheduler.  ``--backend SPEC`` points this section
-  at any execution backend (``local:N`` by default; e.g. ``subprocess:N``
+  at any execution backend (``local:N`` by default; e.g. ``cluster:N``
   to time the worker wire protocol) and the chosen spec is recorded in a
   ``backend`` column of every scheduler row.
 * ``cluster``  — policy A/B through the elastic ``cluster:N`` backend
@@ -285,7 +285,7 @@ def bench_engine(
     for scheduler in ("ljf", "uniform"):
         with JobEngine(backend=requested, scheduler=scheduler) as engine:
             # Resolved slot count and canonical spec of the actual backend
-            # (e.g. bare "subprocess" canonicalizes to "subprocess:2").
+            # (e.g. bare "subprocess" canonicalizes to "cluster:2").
             workers = engine.jobs
             spec = engine.backend.spec
             start = time.perf_counter()
@@ -700,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend", default=None,
         help="execution backend spec for the engine benchmark "
-             "(default: local:JOBS; e.g. subprocess:2 times the worker "
+             "(default: local:JOBS; e.g. cluster:2 times the worker "
              "wire protocol — see docs/RUNTIME.md)",
     )
     parser.add_argument(

@@ -3,7 +3,9 @@
 The execution half of the elastic sweep service (the serving half is
 :mod:`repro.serve`).  A :class:`ClusterBackend` — spec ``cluster:N`` —
 drives a pool of ``repro-worker`` processes through the shared frame
-protocol like ``subprocess:N`` does, but adds what a long sweep on shared
+protocol.  It is the only driver of those workers: ``subprocess:N`` is
+sugar for ``cluster:N``, and ``ssh://`` specs run the same scheduler with
+each slot's worker on its ssh host.  It adds what a long sweep on shared
 machines actually needs:
 
 * a poll-loop **scheduler** (:mod:`repro.cluster.scheduler`) that spawns

@@ -45,7 +45,7 @@ from ..runtime.framing import (
 
 
 def _cmd_health(args) -> int:
-    from ..runtime.backends.remote import local_worker_command
+    from ..runtime.worker import local_worker_command
 
     failures = 0
     for index in range(args.workers):

@@ -14,16 +14,21 @@ and one event queue.  Each iteration of the poll loop
    to emit heartbeat frames; a worker silent past the deadline is presumed
    hung, killed, and its in-flight chunk is requeued;
 4. respawns dead slots under exponential backoff, giving a slot up after
-   ``max_respawns`` consecutive failed spawn attempts.
+   ``max_respawns`` consecutive failed spawn attempts — or at once when the
+   worker answers the handshake with an ``error`` frame or a mismatched
+   protocol version, since the same command gives the same answer every
+   time.
 
 Failure semantics: losing a worker never loses work — the chunk it held
 goes back to the queue (``chunks_requeued`` in
 :class:`~repro.runtime.stats.EngineStats`) and re-executes elsewhere, while
 results the engine already persisted stay persisted (the resumable-batch
-path).  Only when *every* slot has permanently failed with work still
-queued does :meth:`ClusterScheduler.drain` raise
-:class:`~repro.runtime.backends.base.BackendError`; one flapping host
-cannot fail a sweep a healthy host can finish.
+path).  :meth:`ClusterScheduler.drain` raises
+:class:`~repro.runtime.backends.base.BackendError` in two cases only: every
+slot has permanently failed with work still queued (the error lists each
+slot's last reason), or one chunk has lost its worker more than
+``max_respawns`` times (a poison chunk that kills whichever worker runs
+it).  One flapping host cannot fail a sweep a healthy host can finish.
 
 Chaos hook: ``REPRO_CLUSTER_CHAOS=kill:<n>`` (read by the backend) makes
 the scheduler ``SIGKILL`` its own worker right after the *n*-th chunk
@@ -59,7 +64,7 @@ from ..runtime.framing import (
     SHUTDOWN,
     TRACES,
     ProtocolError,
-    check_hello,
+    hello_version,
     read_frame,
     write_frame,
 )
@@ -146,6 +151,8 @@ class _Slot:
         self.ticket_epoch = -1
         #: Consecutive failed spawn attempts (reset by a successful handshake).
         self.attempts = 0
+        #: Why the slot last lost its worker or failed to spawn one.
+        self.reason = ""
         self.next_spawn_at = 0.0
         self.ever_live = False
 
@@ -154,14 +161,19 @@ class _Slot:
         return self.state == _LIVE and self.ticket is None
 
 
+def _reap(process: subprocess.Popen) -> None:
+    """Kill *process* and wait for it; a process already gone is fine."""
+    try:
+        process.kill()
+        process.wait()
+    except OSError:  # pragma: no cover - already reaped
+        pass
+
+
 def _finalize_processes(registry: "dict[int, subprocess.Popen]") -> None:
     """GC fallback: make sure no worker process outlives a dropped scheduler."""
     for process in list(registry.values()):
-        try:
-            process.kill()
-            process.wait()
-        except OSError:  # pragma: no cover - already reaped
-            pass
+        _reap(process)
 
 
 class ClusterScheduler:
@@ -170,8 +182,9 @@ class ClusterScheduler:
     Parameters
     ----------
     command_factory:
-        ``() -> list[str]`` producing the worker command for the next spawn
-        (every spawn calls it again, so respawns get fresh commands).
+        ``(slot_index) -> list[str]`` producing the worker command for a
+        spawn into that slot.  Every spawn calls it again, and a slot keeps
+        its index across respawns, so ``ssh://`` maps each slot to its host.
     parallelmax:
         Worker slot budget; workers spawn lazily as queued work demands,
         and :meth:`resize` changes the budget mid-run (elastic grow/shrink).
@@ -308,7 +321,7 @@ class ClusterScheduler:
         now = time.monotonic()
         try:
             process = subprocess.Popen(
-                self.command_factory(),
+                self.command_factory(slot.index),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 # stderr inherited: worker tracebacks reach the driver.
@@ -317,30 +330,32 @@ class ClusterScheduler:
             self._spawn_failed(slot, f"spawn failed: {exc}", now)
             return False
         incarnation = _Incarnation(process, f"{self.label}#{slot.index}")
+        label = incarnation.label
         try:
             write_frame(
                 process.stdin,
                 HELLO,
                 {"protocol": PROTOCOL_VERSION, "heartbeat": self.heartbeat},
             )
-            frame = read_frame(process.stdout)
-            kind, payload = frame
-            if kind == ERROR:
-                raise ProtocolError(
-                    f"worker {incarnation.label} rejected handshake: {payload}"
-                )
-            if kind != HELLO:
-                raise ProtocolError(
-                    f"worker {incarnation.label} sent {kind!r} instead of a handshake"
-                )
-            check_hello(payload, side=f"worker {incarnation.label}")
+            kind, payload = read_frame(process.stdout)
+            if kind not in (HELLO, ERROR):
+                raise ProtocolError(f"sent {kind!r} instead of a handshake")
         except Exception as exc:
-            try:
-                process.kill()
-                process.wait()
-            except OSError:  # pragma: no cover - already gone
-                pass
-            self._spawn_failed(slot, str(exc), now)
+            # EOF, garbage or a broken pipe may be a flaky host: back off.
+            _reap(process)
+            self._spawn_failed(slot, f"worker {label}: {exc}", now)
+            return False
+        if kind == ERROR or hello_version(payload) != PROTOCOL_VERSION:
+            # The worker answered and said no; respawning the same command
+            # would only hear the same answer, so give the slot up now.
+            _reap(process)
+            reason = (
+                f"worker {label} rejected handshake: {payload}"
+                if kind == ERROR
+                else f"worker {label} speaks protocol version "
+                f"{hello_version(payload)!r}, driver speaks {PROTOCOL_VERSION}"
+            )
+            self._spawn_failed(slot, reason, now, permanent=True)
             return False
         incarnation.reader = threading.Thread(
             target=_read_worker,
@@ -361,10 +376,13 @@ class ClusterScheduler:
         slot.ever_live = True
         return True
 
-    def _spawn_failed(self, slot: _Slot, reason: str, now: float) -> None:
+    def _spawn_failed(
+        self, slot: _Slot, reason: str, now: float, permanent: bool = False
+    ) -> None:
         slot.incarnation = None
+        slot.reason = reason
         slot.attempts += 1
-        if slot.attempts > self.max_respawns:
+        if permanent or slot.attempts > self.max_respawns:
             slot.state = _FAILED
             print(
                 f"[cluster] slot {slot.index} failed permanently after "
@@ -404,22 +422,27 @@ class ClusterScheduler:
             incarnation.reader.join(timeout=5)
 
     def _slot_down(self, slot: _Slot, reason: str) -> None:
-        """A live worker was lost: kill remnants, requeue its chunk, back off."""
+        """A live worker was lost: kill remnants, requeue its chunk, back off.
+
+        Raises :class:`BackendError` when the lost chunk has now lost its
+        worker more than ``max_respawns`` times: a chunk that kills every
+        worker it lands on would otherwise respawn and requeue forever.
+        """
         incarnation, slot.incarnation = slot.incarnation, None
         if incarnation is not None:
             self._by_gen.pop(incarnation.gen, None)
             self._process_registry.pop(incarnation.gen, None)
-            try:
-                incarnation.process.kill()
-                incarnation.process.wait()
-            except OSError:  # pragma: no cover - already reaped
-                pass
+            _reap(incarnation.process)
         self.stats.workers_lost += 1
+        slot.reason = reason
         ticket, slot.ticket = slot.ticket, None
+        poisoned = None
         if ticket is not None and slot.ticket_epoch == self._epoch:
             ticket.requeues += 1
             self.stats.chunks_requeued += 1
             self._queued.append(ticket)
+            if ticket.requeues > self.max_respawns:
+                poisoned = ticket
             print(
                 f"[cluster] worker {self.label}#{slot.index} lost ({reason}); "
                 f"requeued chunk {ticket.tag}",
@@ -437,6 +460,11 @@ class ClusterScheduler:
             slot.state = _DEAD
             slot.next_spawn_at = time.monotonic() + self.backoff * (
                 2 ** (slot.attempts - 1)
+            )
+        if poisoned is not None:
+            raise BackendError(
+                f"chunk {poisoned.tag} lost its worker {poisoned.requeues} times "
+                f"(max_respawns={self.max_respawns}); last loss: {reason}"
             )
 
     # -- the poll loop ---------------------------------------------------------
@@ -601,9 +629,10 @@ class ClusterScheduler:
             and len(active) >= self.parallelmax
             and all(s.state == _FAILED for s in active)
         ):
+            reasons = "; ".join(f"slot {s.index}: {s.reason}" for s in active)
             raise BackendError(
                 f"all {len(active)} cluster worker slots failed permanently "
-                f"(max_respawns={self.max_respawns} exceeded on each)"
+                f"({reasons})"
             )
 
     # -- health reporting ------------------------------------------------------

@@ -8,10 +8,10 @@ the runtime that makes broad sweeps tractable:
   content-hash identity (:meth:`SimulationJob.key`),
 * :class:`JobEngine` — plans job batches into cost-balanced chunks and runs
   them on a pluggable :class:`ExecutionBackend`, selected by spec string:
-  ``serial`` (inline), ``local:N`` (persistent process pool),
-  ``subprocess:N`` (local ``repro-worker`` processes over a stdio frame
-  protocol) or ``ssh://hostA:4,hostB:4`` (the same protocol over ssh) —
-  with chunked dispatch, deterministic per-job seeds, progress callbacks,
+  ``serial`` (inline), ``local:N`` (persistent process pool) or
+  ``cluster:N`` (``repro-worker`` processes over a stdio frame protocol,
+  under the :mod:`repro.cluster` scheduler; ``subprocess:N`` is sugar for
+  it and ``ssh://hostA:4,hostB:4`` runs its slots over ssh) — with chunked dispatch, deterministic per-job seeds, progress callbacks,
   incremental result persistence and uniform worker-failure propagation
   (:class:`JobFailedError`).  ``jobs=N`` / ``REPRO_JOBS`` remain sugar for
   the local backend; ``REPRO_BACKEND`` names a default spec,
@@ -32,7 +32,6 @@ from .backends import (
     ExecutionBackend,
     LocalBackend,
     ProtocolError,
-    RemoteBackend,
     SerialBackend,
     parse_backend,
     spec_for_jobs,
@@ -67,7 +66,6 @@ __all__ = [
     "JobFailedError",
     "LocalBackend",
     "ProtocolError",
-    "RemoteBackend",
     "ResultStore",
     "SerialBackend",
     "SimulationJob",

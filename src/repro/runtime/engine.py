@@ -13,9 +13,9 @@ Where those jobs actually execute is a pluggable
 
     JobEngine(backend="serial")                  # inline (default)
     JobEngine(backend="local:8")                 # persistent process pool
-    JobEngine(backend="subprocess:4")            # repro-worker over stdio
-    JobEngine(backend="cluster:4,policy=ljf")    # elastic scheduler-managed pool
-    JobEngine(backend="ssh://hostA:4,hostB:4")   # repro-worker over ssh
+    JobEngine(backend="cluster:4,policy=ljf")    # repro-worker pool, scheduled
+    JobEngine(backend="subprocess:4")            # sugar for "cluster:4"
+    JobEngine(backend="ssh://hostA:4,hostB:4")   # cluster slots over ssh
     JobEngine(jobs=8)                            # sugar for "local:8"
 
 ``jobs=1`` (the default) maps to ``serial``; the ``REPRO_JOBS`` and
@@ -23,7 +23,7 @@ Where those jobs actually execute is a pluggable
 argument is given.  Every backend produces bit-identical results: the
 simulators are deterministic functions of (config, bug, trace, step), each
 job is handed a deterministic content-derived seed, and a conformance suite
-pins serial ≡ local ≡ subprocess output.
+pins serial ≡ local ≡ subprocess ≡ cluster output.
 
 The engine keeps what is backend-independent — store consultation,
 batch-internal dedup, cost-aware LJF / uniform chunk planning
@@ -452,7 +452,7 @@ class JobEngine:
             for tag, chunk in enumerate(chunks):
                 # Per-chunk trace delta: whatever this chunk references that
                 # the backend's workers do not already hold.  Backends that
-                # distribute traces themselves (remote) report everything as
+                # distribute traces themselves (cluster) report everything as
                 # known and receive empty deltas.
                 delta = {
                     tid: batch_traces[tid]

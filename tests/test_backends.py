@@ -1,17 +1,20 @@
 """Execution-backend conformance suite, spec grammar and failure modes.
 
 The conformance half pins the tentpole guarantee: ``serial``, ``local:N``
-and ``subprocess:N`` produce bit-identical :class:`StoredResult` payloads
-for the same batch, on synthetic *and* ingested traces.  The failure-mode
-half covers the ways workers die: job exceptions (kept as values), worker
-processes killed mid-chunk (transport failure, clean next batch), protocol
-version mismatches, truncated frame streams and ``KeyboardInterrupt``.
+and ``subprocess:N`` (sugar for ``cluster:N``) produce bit-identical
+:class:`StoredResult` payloads for the same batch, on synthetic *and*
+ingested traces.  The failure-mode half covers the ways workers die: job
+exceptions (kept as values), a chunk that kills every worker it lands on
+(a fast ``BackendError``, never a respawn loop), protocol version
+mismatches, garbage and truncated frame streams and ``KeyboardInterrupt``.
 """
 
 import io
 import os
 import signal
 import sys
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -19,6 +22,8 @@ import numpy as np
 import pytest
 
 from repro.bugs.core_bugs import SerializeOpcode
+from repro.cluster import scheduler as cluster_scheduler
+from repro.cluster.backend import ClusterBackend
 from repro.coresim.hooks import CoreBugModel
 from repro.runtime import (
     BackendError,
@@ -26,15 +31,14 @@ from repro.runtime import (
     JobFailedError,
     LocalBackend,
     ProtocolError,
-    RemoteBackend,
     SerialBackend,
     SimulationJob,
     TraceRegistry,
     parse_backend,
     spec_for_jobs,
 )
-from repro.runtime.backends import remote
-from repro.runtime.backends.remote import (
+from repro.runtime.execution import ChunkFailure, run_chunk_items
+from repro.runtime.framing import (
     CHUNK,
     ERROR,
     HELLO,
@@ -42,12 +46,10 @@ from repro.runtime.backends.remote import (
     RESULT,
     SHUTDOWN,
     TRACES,
-    WorkerConnection,
     check_hello,
     read_frame,
     write_frame,
 )
-from repro.runtime.execution import ChunkFailure, run_chunk_items
 from repro.runtime.worker import serve
 from repro.uarch import core_microarch, memory_microarch
 from repro.workloads import TraceGenerator, build_program, workload
@@ -89,6 +91,33 @@ def worker_env(monkeypatch):
     )
 
 
+def _run_guarded(fn, timeout):
+    """Run *fn* on a thread and return what it raised (``None`` if nothing).
+
+    ``pytest-timeout`` is not available, so a regression that hangs (a
+    respawn loop) must fail here after *timeout* seconds instead of
+    wedging the whole suite.
+    """
+    outcome = {}
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # noqa: BLE001 - reported to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout}s (hang?)"
+    return outcome.get("error")
+
+
+def _live_processes(backend):
+    """Worker processes the scheduler has spawned and not yet reaped."""
+    return list(backend.scheduler._process_registry.values())
+
+
 @pytest.fixture(scope="module")
 def tiny_trace():
     program = build_program(workload("403.gcc"), seed=21)
@@ -128,7 +157,7 @@ def _assert_stored_equal(first, second):
             assert np.array_equal(a.counters[name], b.counters[name]), name
 
 
-# -- conformance: serial == local == subprocess ------------------------------
+# -- conformance: serial == local == subprocess (cluster) --------------------
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +213,8 @@ class TestBackendConformance:
         jobs = _core_jobs(registry, tiny_trace, configs=("Skylake",))
         engine = JobEngine(backend="subprocess:2", chunk_size=1)
         engine.run(jobs, registry.traces)
-        processes = [c.process for c in engine.backend._connections]
-        assert all(p.poll() is None for p in processes)
+        processes = _live_processes(engine.backend)
+        assert processes and all(p.poll() is None for p in processes)
         del engine
         gc.collect()
         for process in processes:  # the backend finalizer reaps them
@@ -213,18 +242,18 @@ class TestBackendConformance:
     def test_dead_idle_worker_triggers_rebuild_on_next_batch(
         self, registry, tiny_trace
     ):
-        """A worker lost between batches (e.g. its transport failure was
-        cancelled away with a failed batch) must not shrink capacity
-        silently: the next start() health-checks and rebuilds."""
+        """A worker lost between batches (e.g. killed while idle) must not
+        shrink capacity silently: the next batch notices the loss, counts
+        it, and still completes every job."""
         jobs = _core_jobs(registry, tiny_trace)
         with JobEngine(backend="subprocess:2", chunk_size=1) as engine:
             engine.run(jobs, registry.traces)
-            victim = engine.backend._connections[1].process
+            victim = engine.backend.scheduler._slots[1].incarnation.process
             victim.kill()
-            victim.wait()  # make sure poll() observes the death
+            victim.wait()
             results = engine.run(jobs, registry.traces)
             assert all(r.cycles > 0 for r in results)
-            assert engine.stats.pool_creates == 2  # rebuilt, not reused
+            assert engine.stats.workers_lost == 1
 
 
 # -- spec grammar ------------------------------------------------------------
@@ -237,19 +266,41 @@ class TestBackendSpecs:
         assert isinstance(local, LocalBackend)
         assert local.slots == 4 and local.spec == "local:4"
         sub = parse_backend("subprocess:3")
-        assert isinstance(sub, RemoteBackend)
+        assert isinstance(sub, ClusterBackend)
         assert sub.slots == 3 and sub.remote
         assert parse_backend("subprocess").slots == 2  # documented default
 
+    def test_subprocess_is_sugar_for_cluster(self):
+        backend = parse_backend("subprocess:2")
+        assert isinstance(backend, ClusterBackend)
+        assert backend.spec == "cluster:2"
+        assert JobEngine(backend="subprocess").backend.spec == "cluster:2"
+
     def test_parse_ssh_hosts(self):
         backend = parse_backend("ssh://hostA:2,hostB:3")
+        assert isinstance(backend, ClusterBackend)
         assert backend.slots == 5
         assert backend.spec == "ssh://hostA:2,hostB:3"
-        commands = [c.command for c in backend._connections]
+        factory = backend.scheduler.command_factory
+        commands = [factory(slot) for slot in range(5)]
         assert all(command[0] == "ssh" for command in commands)
         assert sum("hostA" in command for command in commands) == 2
         assert sum("hostB" in command for command in commands) == 3
         assert parse_backend("ssh://solo").slots == 1  # default one per host
+
+    def test_ssh_factory_maps_slots_to_hosts(self):
+        """Network-free: slot i's worker command names slot i's host, and a
+        respawn into the same slot gets the same host."""
+        backend = parse_backend("ssh://hA:2,hB:1")
+        assert isinstance(backend, ClusterBackend)
+        assert backend.slots == 3
+        factory = backend.scheduler.command_factory
+        commands = [factory(slot) for slot in range(3)]
+        assert [command[-2] for command in commands] == ["hA", "hA", "hB"]
+        for command in commands:
+            assert command[:3] == ["ssh", "-o", "BatchMode=yes"]
+            assert command[-1] == "repro-worker"
+        assert factory(2) == commands[2]
 
     def test_backend_instance_passes_through(self):
         backend = SerialBackend()
@@ -434,56 +485,96 @@ class TestWorkerDeath:
     def test_subprocess_worker_killed_mid_chunk(
         self, registry, tiny_trace, worker_env
     ):
+        """A chunk that kills its worker every time fails the batch once it
+        has lost max_respawns + 1 workers; the engine tears the workers down
+        and the next batch runs on fresh ones."""
         trace_id = registry.register(tiny_trace)
         killer = SimulationJob(study="core", config=core_microarch("Skylake"),
                                bug=WorkerKillerBug(), trace_id=trace_id, step=256)
         good = _core_jobs(registry, tiny_trace)
         with JobEngine(backend="subprocess:2", chunk_size=1) as engine:
-            with pytest.raises(BackendError):
+            engine.backend.scheduler.backoff = 0.01
+            with pytest.raises(BackendError, match="lost its worker"):
                 engine.run(good + [killer], registry.traces)
             backend = engine.backend
-            assert not backend._live
-            assert all(c.process is None for c in backend._connections)
+            assert backend.scheduler.live_workers() == 0
+            assert not _live_processes(backend)
             results = engine.run(good, registry.traces)
             assert all(r.cycles > 0 for r in results)
             assert engine.stats.pool_creates == 2
 
+    @pytest.mark.parametrize("spec", ["cluster:2", "subprocess:2"])
+    def test_poison_chunk_fails_fast_instead_of_looping(
+        self, spec, registry, tiny_trace, worker_env
+    ):
+        trace_id = registry.register(tiny_trace)
+        killer = SimulationJob(study="core", config=core_microarch("Skylake"),
+                               bug=WorkerKillerBug(), trace_id=trace_id, step=256)
+        engine = JobEngine(backend=spec, chunk_size=1)
+        engine.backend.scheduler.backoff = 0.01
+        max_respawns = engine.backend.scheduler.max_respawns
+        start = time.monotonic()
+        try:
+            error = _run_guarded(
+                lambda: engine.run([killer], registry.traces), timeout=30
+            )
+        finally:
+            engine.close()
+        assert isinstance(error, BackendError), error
+        message = str(error)
+        assert "chunk 0" in message and "last loss" in message
+        assert engine.stats.chunks_requeued == max_respawns + 1
+        assert time.monotonic() - start < 30
+
 
 class TestProtocolFailures:
     def test_version_mismatch_end_to_end(self, registry, tiny_trace, monkeypatch):
-        monkeypatch.setattr(remote, "PROTOCOL_VERSION", 999)
+        """A worker that rejects the handshake is rejected at once: the
+        same command would give the same answer, so no respawn backoff."""
+        monkeypatch.setattr(cluster_scheduler, "PROTOCOL_VERSION", 999)
         jobs = _core_jobs(registry, tiny_trace, configs=("Skylake",))
+        start = time.monotonic()
         with JobEngine(backend="subprocess:1", chunk_size=1) as engine:
-            with pytest.raises(ProtocolError, match="handshake|version"):
+            with pytest.raises(BackendError, match="version") as excinfo:
                 engine.run(jobs, registry.traces)
+        assert time.monotonic() - start < 2
+        assert "failed permanently" in str(excinfo.value)
+        assert engine.stats.workers_spawned == 0
 
     # A fake worker that exits early may already be gone when the driver
-    # writes its handshake, so BrokenPipeError is an accepted alternative
-    # to the ProtocolError the read side raises.
+    # writes its handshake, so a broken pipe is an accepted alternative to
+    # the ProtocolError the read side raises.  These failures may be a
+    # flaky host, so they take the backoff path until max_respawns runs out.
 
-    def test_garbage_worker_stream_is_oversized_frame(self):
-        connection = WorkerConnection(
-            [sys.executable, "-c", "print('garbage!')"], label="garbage"
+    @staticmethod
+    def _run_fake_worker(registry, tiny_trace, code):
+        job = _core_jobs(registry, tiny_trace, configs=("Skylake",))[0]
+        backend = ClusterBackend(
+            1, command_factory=lambda slot: [sys.executable, "-c", code],
+            heartbeat=0.05, deadline=5.0, backoff=0.01, max_respawns=1,
         )
-        with pytest.raises((ProtocolError, BrokenPipeError)):
-            connection.start()
-        assert connection.process is None
+        with JobEngine(backend=backend, chunk_size=1) as engine:
+            with pytest.raises(BackendError, match="failed permanently") as excinfo:
+                engine.run([job], registry.traces)
+        assert engine.stats.workers_spawned == 0
+        assert not _live_processes(backend)
+        return str(excinfo.value)
 
-    def test_truncated_worker_stream(self):
+    def test_garbage_worker_stream_is_oversized_frame(self, registry, tiny_trace):
+        message = self._run_fake_worker(registry, tiny_trace, "print('garbage!')")
+        assert "oversized" in message or "Broken pipe" in message
+
+    def test_truncated_worker_stream(self, registry, tiny_trace):
         code = (
             "import struct, sys; "
             "sys.stdout.buffer.write(struct.pack('>Q', 100) + b'xx')"
         )
-        connection = WorkerConnection([sys.executable, "-c", code], label="trunc")
-        with pytest.raises((ProtocolError, BrokenPipeError)):
-            connection.start()
+        message = self._run_fake_worker(registry, tiny_trace, code)
+        assert "truncated" in message or "Broken pipe" in message
 
-    def test_worker_that_exits_immediately(self):
-        connection = WorkerConnection(
-            [sys.executable, "-c", "pass"], label="quitter"
-        )
-        with pytest.raises((ProtocolError, BrokenPipeError)):
-            connection.start()
+    def test_worker_that_exits_immediately(self, registry, tiny_trace):
+        message = self._run_fake_worker(registry, tiny_trace, "pass")
+        assert "closed" in message or "Broken pipe" in message
 
 
 class TestKeyboardInterrupt:
@@ -506,8 +597,8 @@ class TestKeyboardInterrupt:
             assert backend._pool is None
             assert not backend._futures
         else:
-            assert not backend._live
-            assert all(c.process is None for c in backend._connections)
+            assert backend.scheduler.live_workers() == 0
+            assert not _live_processes(backend)
         # The engine is reusable: the next batch brings workers back up.
         engine.progress = None
         results = engine.run(jobs, registry.traces)

@@ -18,7 +18,6 @@ import pytest
 from repro.bugs.core_bugs import SerializeOpcode
 from repro.cluster.backend import ClusterBackend
 from repro.runtime import BackendError, JobEngine, SimulationJob, TraceRegistry
-from repro.runtime.backends.remote import local_worker_command
 from repro.runtime.framing import (
     ERROR,
     HEARTBEAT,
@@ -31,7 +30,7 @@ from repro.runtime.framing import (
     read_frame,
     write_frame,
 )
-from repro.runtime.worker import serve
+from repro.runtime.worker import local_worker_command, serve
 from repro.uarch import core_microarch
 from repro.workloads import TraceGenerator, build_program, workload
 from repro.workloads.isa import Opcode
@@ -258,7 +257,7 @@ class TestClusterConnectionIsolation:
         registry, jobs = registry_and_jobs
         spawns = {"n": 0}
 
-        def factory():
+        def factory(slot):
             spawns["n"] += 1
             if spawns["n"] == 1:
                 return [sys.executable, "-c", TRUNCATING_WORKER]
@@ -277,14 +276,22 @@ class TestClusterConnectionIsolation:
             assert engine.stats.executed == len(jobs)
 
     def test_v1_worker_is_rejected_until_slots_fail(self, registry_and_jobs):
-        """Version skew at the cluster handshake: every spawn speaks v1, so
-        after max_respawns attempts the sweep fails loudly instead of
-        wedging."""
+        """Version skew at the cluster handshake: the worker speaks v1, and
+        the same command would answer the same way on every respawn, so
+        the slot fails at its first handshake and the sweep fails loudly
+        with the version in the message instead of wedging."""
         registry, jobs = registry_and_jobs
+        spawns = []
+
+        def factory(slot):
+            spawns.append(slot)
+            return [sys.executable, "-c", V1_WORKER]
+
         backend = ClusterBackend(
-            1, command_factory=lambda: [sys.executable, "-c", V1_WORKER],
-            heartbeat=0.05, deadline=5.0, backoff=0.01, max_respawns=1,
+            1, command_factory=factory,
+            heartbeat=0.05, deadline=5.0, backoff=0.01, max_respawns=3,
         )
-        with pytest.raises(BackendError, match="failed permanently"):
+        with pytest.raises(BackendError, match="failed permanently.*version"):
             with JobEngine(backend=backend, chunk_size=1) as engine:
                 engine.run(jobs[:1], registry.traces)
+        assert spawns == [0]
