@@ -1,6 +1,6 @@
 """Regenerate the pinned golden artifacts.
 
-Three files are produced:
+Four files are produced:
 
 ``golden_series.json``
     Pinned counter-series digests of the frozen seed pipeline.
@@ -39,6 +39,16 @@ and commit the refreshed JSON together with the change that motivated it.
 
     ONLY for a deliberate change to detection semantics, justified in
     ``CHANGES.md``.  A pure speed-up of the ML layer must leave it unchanged.
+
+``golden_memsim.json``
+    Digests of the memory-hierarchy simulator's results: every memory
+    preset x {bug-free, every variant of the six memory bugs} on the golden
+    403.gcc trace and ``kvstore.k6.gz``.  ``tests/test_differential.py``
+    checks both memsim lanes (Python and native) against it.  Regenerate
+    separately, ONLY for a deliberate change to memory-simulation
+    semantics::
+
+        PYTHONPATH=src python tests/data/make_golden.py memsim
 """
 
 import dataclasses
@@ -214,6 +224,95 @@ def main_detection() -> int:
     return 0
 
 
+#: Sampling step (instructions) of every memsim golden simulation: both
+#: golden traces span several steps, including a trailing partial one.
+MEMSIM_STEP = 250
+
+
+def memsim_traces() -> dict:
+    """The memsim golden traces by name: the core golden trace and a k6 one."""
+    from repro.workloads import decode_trace
+    from repro.workloads.ingest import read_k6
+
+    return {
+        "403.gcc": golden_trace(),
+        "kvstore.k6": decode_trace(read_k6(Path(__file__).parent / "kvstore.k6.gz")),
+    }
+
+
+def memsim_bugs() -> list:
+    """``None`` (bug-free) plus every variant of the six memory bug types."""
+    from repro.bugs.memory_bugs import all_memory_bugs
+
+    return [None, *all_memory_bugs()]
+
+
+def memsim_case_name(trace_name: str, config, bug) -> str:
+    return f"{trace_name}|{config.name}|{bug.name if bug is not None else 'bug-free'}"
+
+
+def memsim_digest(result) -> str:
+    """Content digest of a MemSimResult: totals bit-exactly, then the series."""
+    hasher = hashlib.blake2b(digest_size=16)
+    hasher.update(
+        f"cycles={float(result.cycles).hex()};instr={result.instructions};"
+        f"amat={float(result.amat).hex()};".encode()
+    )
+    series = result.series
+    hasher.update(f"step={series.step_cycles};".encode())
+    for name in sorted(series.counters):
+        hasher.update(name.encode())
+        hasher.update(series.counters[name].astype("<f8").tobytes())
+    hasher.update(b"|ipc|")
+    hasher.update(series.ipc.astype("<f8").tobytes())
+    return hasher.hexdigest()
+
+
+def memsim_digests(simulate) -> dict:
+    """``{case name: digest}`` over the full memsim golden matrix.
+
+    *simulate* is ``(config, trace, bug, step_instructions) -> MemSimResult``
+    (one memsim lane).
+    """
+    from repro.uarch.memory_presets import all_memory_microarches
+
+    digests = {}
+    for trace_name, trace in memsim_traces().items():
+        for config in all_memory_microarches():
+            for bug in memsim_bugs():
+                result = simulate(config, trace, bug, MEMSIM_STEP)
+                digests[memsim_case_name(trace_name, config, bug)] = memsim_digest(
+                    result
+                )
+    return digests
+
+
+def main_memsim() -> int:
+    from repro.memsim import simulate_memory_trace
+
+    digests = memsim_digests(
+        lambda config, trace, bug, step: simulate_memory_trace(
+            config, trace, bug=bug, step_instructions=step
+        )
+    )
+    payload = {
+        "comment": (
+            "Digests of memory-hierarchy simulator results (every memory "
+            "preset x bug-free + every memory bug variant, two golden "
+            "traces). Regenerate ONLY via 'make_golden.py memsim' for a "
+            "deliberate change to memory-simulation semantics."
+        ),
+        "step_instructions": MEMSIM_STEP,
+        "digests": digests,
+    }
+    out = Path(__file__).parent / "golden_memsim.json"
+    with open(out, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote {out} ({len(digests)} cases)")
+    return 0
+
+
 def main() -> int:
     from repro.coresim import native_available, simulate_trace
     from repro.coresim._reference import reference_simulate_trace
@@ -284,4 +383,6 @@ def main() -> int:
 if __name__ == "__main__":
     if sys.argv[1:] == ["detection"]:
         sys.exit(main_detection())
+    if sys.argv[1:] == ["memsim"]:
+        sys.exit(main_memsim())
     sys.exit(main())
