@@ -5,13 +5,16 @@ oracle at *test* time; this package enforces the underlying contracts at
 *lint* time, before anything runs:
 
 * ``counter_contract`` — one counter-name universe across all three lanes
-  (frozen reference, scalar, native C) plus the C↔ctypes ABI.
+  (frozen reference, scalar, native C) plus the C↔ctypes ABI of both
+  native entry points (core kernel and memory walk).
 * ``determinism`` — no global RNG, wall-clock, ``id()``-keyed hashing or
   unordered-set iteration in result-affecting code.
-* ``hook_contract`` — class-level hook-override discipline and the
-  structural/dynamic hook partition behind native eligibility.
+* ``hook_contract`` — class-level hook-override discipline, the
+  structural/dynamic hook partition behind native eligibility, and a
+  native spec on every memory bug model that overrides a hook.
 * ``protocol_constants`` — wire/schema constants defined exactly once.
-* ``native_gate`` — ``_core.c`` stays ``-Wall -Wextra -Werror`` clean.
+* ``native_gate`` — every native C source stays ``-Wall -Wextra -Werror``
+  clean.
 
 Entry points: the ``repro-lint`` console script and
 ``python -m repro.analysis`` (both -> :func:`repro.analysis.cli.main`).

@@ -30,7 +30,8 @@ FAMILIES = {
     "counter-contract": (
         counter_contract.check,
         "counter-name universe identical across reference/scalar/native"
-        " lanes, C slot enum and SimParams ABI vs ctypes, golden manifest",
+        " lanes, C slot enum and SimParams ABI vs ctypes, memory-walk"
+        " MemParams/column ABI, golden manifest",
     ),
     "determinism": (
         determinism.check,
@@ -40,7 +41,8 @@ FAMILIES = {
     "hook-contract": (
         hook_contract.check,
         "hook namespace partition in hooks.py, _HOOK_FLAGS hoisting table,"
-        " class-level override discipline",
+        " class-level override discipline, a native spec on every memory"
+        " bug model that overrides a hook",
     ),
     "protocol-constant": (
         protocol_constants.check,
@@ -49,8 +51,9 @@ FAMILIES = {
     ),
     "native-warnings": (
         native_gate.check,
-        "_core.c compiles -Wall -Wextra -Werror clean (skipped without a"
-        " C compiler; use --no-native to skip explicitly)",
+        "every native C source (_core.c, _memsim.c) compiles -Wall -Wextra"
+        " -Werror clean (skipped without a C compiler; use --no-native to"
+        " skip explicitly)",
     ),
 }
 

@@ -14,6 +14,10 @@ counter-name universe of each lane without running any simulation:
   light C tokenizer over ``_core.c`` checking the slot-enum segmentation and
   the ``SimParams`` struct layout against the ctypes marshalling.
 
+The memory walk in the same library gets the same ABI check: ``_memsim.c``'s
+``MemParams`` struct, output-column enum and ``repro_memsim`` entry point
+against the ctypes layer in ``memsim/native.py``.
+
 The checker also consumes ``tests/data/counter_manifest.json`` (written by
 ``tests/data/make_golden.py``), so the statically extracted universe and the
 golden suite's observed-at-runtime universe share one source of truth: every
@@ -52,6 +56,8 @@ SCALAR_PATHS = (
 )
 NATIVE_KERNEL_PATH = "src/repro/coresim/native/kernel.py"
 NATIVE_C_PATH = "src/repro/coresim/native/_core.c"
+MEMSIM_KERNEL_PATH = "src/repro/memsim/native.py"
+MEMSIM_C_PATH = "src/repro/coresim/native/_memsim.c"
 COUNTERS_PATH = "src/repro/coresim/counters.py"
 ISA_PATH = "src/repro/workloads/isa.py"
 MANIFEST_PATH = "tests/data/counter_manifest.json"
@@ -252,13 +258,16 @@ def extract_native_slots(
 
 
 def extract_ctypes_fields(
-    tree: SourceTree, op_class_count: int
+    tree: SourceTree,
+    op_class_count: int,
+    path: str = NATIVE_KERNEL_PATH,
+    class_name: str = "_SimParams",
 ) -> "list[tuple[str, int | None]]":
-    """Ordered ``(name, array_length)`` of ``_SimParams._fields_``."""
-    module = tree.parse(NATIVE_KERNEL_PATH)
+    """Ordered ``(name, array_length)`` of a ctypes structure's ``_fields_``."""
+    module = tree.parse(path)
     env = _module_int_env(module, op_class_count)
     for node in ast.walk(module):
-        if not isinstance(node, ast.ClassDef) or node.name != "_SimParams":
+        if not isinstance(node, ast.ClassDef) or node.name != class_name:
             continue
         for statement in node.body:
             if (
@@ -287,7 +296,45 @@ def extract_ctypes_fields(
                         length = _eval_int(type_node.right, env)
                     fields.append((name_node.value, length))
                 return fields
-    raise ValueError(f"{NATIVE_KERNEL_PATH}: _SimParams._fields_ not found")
+    raise ValueError(f"{path}: {class_name}._fields_ not found")
+
+
+def _compare_struct(
+    path: str,
+    source: CSource,
+    struct: str,
+    py_fields: "list[tuple[str, int | None]]",
+    py_class: str,
+) -> "list[Finding]":
+    """C struct *struct* vs the ctypes ``_fields_`` of *py_class*: names,
+    order and array lengths must match (the FFI marshalling contract)."""
+    c_struct = source.structs.get(struct)
+    if c_struct is None:
+        return [_fail(path, 0, f"{struct} struct not found in the C source")]
+    c_fields = [(field.name, field.array_length) for field in c_struct]
+    if c_fields == py_fields:
+        return []
+    c_names = [name for name, _length in c_fields]
+    py_names = [name for name, _length in py_fields]
+    findings = [
+        _fail(path, 0, f"{struct} field {name!r} (ctypes) missing from the C struct")
+        for name in py_names
+        if name not in c_names
+    ] + [
+        _fail(path, 0, f"{struct} field {name!r} (C) missing from the ctypes {py_class}")
+        for name in c_names
+        if name not in py_names
+    ]
+    if not findings:
+        findings.append(
+            _fail(
+                path,
+                0,
+                f"{struct} field order or array lengths diverge "
+                f"between C and ctypes: {c_fields} != {py_fields}",
+            )
+        )
+    return findings
 
 
 def check_native_abi(
@@ -355,49 +402,109 @@ def check_native_abi(
 
     # SimParams struct: field names, order and array lengths must mirror the
     # ctypes _SimParams exactly — this is the FFI marshalling contract.
-    c_struct = source.structs.get("SimParams")
-    if c_struct is None:
-        findings.append(_fail(path, 0, "SimParams struct not found in _core.c"))
-    else:
-        py_fields = extract_ctypes_fields(tree, op_class_count)
-        c_fields = [(field.name, field.array_length) for field in c_struct]
-        if c_fields != py_fields:
-            c_names = [name for name, _length in c_fields]
-            py_names = [name for name, _length in py_fields]
-            for name in py_names:
-                if name not in c_names:
-                    findings.append(
-                        _fail(
-                            path,
-                            0,
-                            f"SimParams field {name!r} (ctypes) missing from "
-                            "the C struct",
-                        )
-                    )
-            for name in c_names:
-                if name not in py_names:
-                    findings.append(
-                        _fail(
-                            path,
-                            0,
-                            f"SimParams field {name!r} (C) missing from the "
-                            "ctypes _SimParams",
-                        )
-                    )
-            if not any(f.message.startswith("SimParams field") for f in findings):
-                findings.append(
-                    _fail(
-                        path,
-                        0,
-                        "SimParams field order or array lengths diverge "
-                        f"between C and ctypes: {c_fields} != {py_fields}",
-                    )
-                )
+    findings.extend(
+        _compare_struct(
+            path,
+            source,
+            "SimParams",
+            extract_ctypes_fields(tree, op_class_count),
+            "_SimParams",
+        )
+    )
 
     # The exported entry point the ctypes layer binds must exist in C.
     if "repro_simulate" not in source.functions:
         findings.append(
             _fail(path, 0, "exported function repro_simulate not defined in _core.c")
+        )
+    return findings
+
+
+def _string_tuple(node: ast.expr) -> "list[str] | None":
+    if not isinstance(node, ast.Tuple):
+        return None
+    return [
+        element.value
+        for element in node.elts
+        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+    ]
+
+
+def check_memsim_abi(tree: SourceTree) -> "list[Finding]":
+    """Cross-check ``_memsim.c`` against ``memsim/native.py`` (memory lane).
+
+    The ``MemParams`` struct must mirror ``_MemParams._fields_``, the C
+    output-column enum must have one column per name in ``_COLUMN_NAMES``
+    (levels x ``_LEVEL_STATS``, then the literal tail) plus IPC, and the
+    ``repro_memsim`` entry point the ctypes layer binds must exist.
+    """
+    path = MEMSIM_C_PATH
+    if not tree.exists(path):
+        return [_fail(path, 0, "native memory walk C source is missing")]
+    try:
+        source = tokenize(tree.read(path))
+    except CTokenizeError as exc:
+        return [_fail(path, 0, f"C tokenizer failed: {exc}")]
+    module = tree.parse(MEMSIM_KERNEL_PATH)
+    env = _module_int_env(module, 0)
+    level_stats: "list[str] | None" = None
+    tail: "list[str] | None" = None
+    for node in module.body:
+        if not (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        ):
+            continue
+        name = node.targets[0].id
+        if name == "_LEVEL_STATS":
+            level_stats = _string_tuple(node.value)
+        elif name == "_COLUMN_NAMES" and isinstance(node.value, ast.BinOp):
+            tail = _string_tuple(node.value.right)
+    if level_stats is None or tail is None or "_NUM_LEVELS" not in env:
+        return [
+            _fail(
+                MEMSIM_KERNEL_PATH,
+                0,
+                "_NUM_LEVELS/_LEVEL_STATS/_COLUMN_NAMES layout tables not found",
+            )
+        ]
+
+    findings: list[Finding] = []
+    levels = env["_NUM_LEVELS"]
+    expected = {
+        "MEM_LEVELS": (levels, "_NUM_LEVELS"),
+        "NUM_LEVEL_STATS": (len(level_stats), "len(_LEVEL_STATS)"),
+        "MC_PREFETCHES_ISSUED": (levels * len(level_stats), "levels x level stats"),
+        "NUM_MEM_COLUMNS": (
+            levels * len(level_stats) + len(tail) + 1,
+            "len(_COLUMN_NAMES) + the IPC column",
+        ),
+    }
+    for name, (value, what) in expected.items():
+        actual = source.constants.get(name)
+        if actual is None:
+            findings.append(_fail(path, 0, f"C constant {name} not found ({what})"))
+        elif actual != value:
+            findings.append(
+                _fail(
+                    path,
+                    0,
+                    f"C {name} is {actual} but the ctypes layer implies {value} "
+                    f"({what})",
+                )
+            )
+    try:
+        py_fields = extract_ctypes_fields(tree, 0, MEMSIM_KERNEL_PATH, "_MemParams")
+    except ValueError as exc:
+        findings.append(_fail(MEMSIM_KERNEL_PATH, 0, str(exc)))
+    else:
+        findings.extend(
+            _compare_struct(path, source, "MemParams", py_fields, "_MemParams")
+        )
+    if "repro_memsim" not in source.functions:
+        findings.append(
+            _fail(path, 0, "exported function repro_memsim not defined in _memsim.c")
         )
     return findings
 
@@ -557,5 +664,6 @@ def check(tree: SourceTree) -> "list[Finding]":
     except ValueError as exc:
         findings.append(_fail(NATIVE_KERNEL_PATH, 0, str(exc)))
 
+    findings.extend(check_memsim_abi(tree))
     findings.extend(check_manifest(tree, reference, derived))
     return findings

@@ -19,6 +19,13 @@ while three invariants hold, all of which this rule checks statically:
   class-level override detection, so the fast path would skip a hook the
   model believes is active — precisely the silent-divergence failure mode
   the differential oracle exists to prevent.
+
+The memory simulator has the same split: its native walk reads a declared
+:class:`~repro.memsim.hooks.NativeMemorySpec` instead of calling hooks, so
+every shipped ``MemoryBugModel`` subclass that overrides a memory hook must
+also define ``native_spec`` in the same class body (checked by
+:func:`check_memory_specs`).  One that does not would silently run on the
+Python lane, or — if an ancestor's spec applied — describe the wrong bug.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ from .tree import SourceTree
 
 HOOKS_PATH = "src/repro/coresim/hooks.py"
 PIPELINE_PATH = "src/repro/coresim/pipeline.py"
+MEMORY_HOOKS_PATH = "src/repro/memsim/hooks.py"
+
+#: MemoryBugModel methods that are not hooks a spec must describe: the spec
+#: itself, and the start hook both memsim lanes call.
+_MEMORY_NON_SPEC = ("native_spec", "on_simulation_start")
 
 RULE = "hook-contract"
 
@@ -38,18 +50,23 @@ def _fail(path: str, line: int, message: str) -> Finding:
     return Finding(RULE, path, line, message)
 
 
-def hook_methods(tree: SourceTree) -> "set[str]":
-    """Hook names: every public method ``CoreBugModel`` defines."""
-    module = tree.parse(HOOKS_PATH)
+def _public_methods(node: ast.ClassDef) -> "set[str]":
+    return {
+        statement.name
+        for statement in node.body
+        if isinstance(statement, ast.FunctionDef) and not statement.name.startswith("_")
+    }
+
+
+def hook_methods(
+    tree: SourceTree, path: str = HOOKS_PATH, class_name: str = "CoreBugModel"
+) -> "set[str]":
+    """Hook names: every public method the base model class defines."""
+    module = tree.parse(path)
     for node in module.body:
-        if isinstance(node, ast.ClassDef) and node.name == "CoreBugModel":
-            return {
-                statement.name
-                for statement in node.body
-                if isinstance(statement, ast.FunctionDef)
-                and not statement.name.startswith("_")
-            }
-    raise ValueError(f"CoreBugModel not found in {HOOKS_PATH}")
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            return _public_methods(node)
+    raise ValueError(f"{class_name} not found in {path}")
 
 
 def _string_collection(module: ast.Module, target_name: str) -> "set[str] | None":
@@ -166,8 +183,10 @@ def check_partition(tree: SourceTree) -> "list[Finding]":
     return findings
 
 
-def _bug_model_classes(module: ast.Module) -> "dict[str, ast.ClassDef]":
-    """Classes in *module* that (transitively, by name) extend CoreBugModel."""
+def _bug_model_classes(
+    module: ast.Module, roots: "tuple[str, ...]" = ("CoreBugModel", "CoreBug")
+) -> "dict[str, ast.ClassDef]":
+    """Classes in *module* that (transitively, by name) extend a *roots* class."""
     by_name = {
         node.name: node for node in ast.walk(module) if isinstance(node, ast.ClassDef)
     }
@@ -189,7 +208,7 @@ def _bug_model_classes(module: ast.Module) -> "dict[str, ast.ClassDef]":
             if name in models:
                 continue
             for base in base_names(node):
-                if base in ("CoreBugModel", "CoreBug") or base in models:
+                if base in roots or base in models:
                     models[name] = node
                     changed = True
                     break
@@ -279,8 +298,39 @@ def check_overrides(tree: SourceTree) -> "list[Finding]":
     return findings
 
 
+def check_memory_specs(tree: SourceTree) -> "list[Finding]":
+    """Flag memory bug models that override a hook but declare no spec."""
+    try:
+        hooks = hook_methods(tree, MEMORY_HOOKS_PATH, "MemoryBugModel")
+    except (ValueError, OSError, SyntaxError) as exc:
+        return [_fail(MEMORY_HOOKS_PATH, 0, f"cannot extract MemoryBugModel hooks: {exc}")]
+    if "native_spec" not in hooks:
+        return [_fail(MEMORY_HOOKS_PATH, 0, "MemoryBugModel defines no native_spec")]
+    hooks -= set(_MEMORY_NON_SPEC)
+
+    findings: list[Finding] = []
+    for path in tree.python_files():
+        module = tree.parse(path)
+        models = _bug_model_classes(module, ("MemoryBugModel", "MemoryBug"))
+        for name, node in sorted(models.items()):
+            methods = _public_methods(node)
+            overridden = sorted(hooks & methods)
+            if overridden and "native_spec" not in methods:
+                findings.append(
+                    _fail(
+                        path,
+                        node.lineno,
+                        f"memory bug model {name} overrides "
+                        f"{', '.join(overridden)} but declares no native_spec: "
+                        "the native walk cannot see what the hooks do",
+                    )
+                )
+    return findings
+
+
 def check(tree: SourceTree) -> "list[Finding]":
     """Run the full hook-contract rule family."""
     findings = check_partition(tree)
     findings.extend(check_overrides(tree))
+    findings.extend(check_memory_specs(tree))
     return findings

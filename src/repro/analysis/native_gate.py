@@ -1,7 +1,11 @@
-"""Native warning gate: ``_core.c`` must be ``-Wall -Wextra -Werror`` clean.
+"""Native warning gate: every C source of the native library must be
+``-Wall -Wextra -Werror`` clean.
 
-Unlike the other rule families this one shells out to the system C compiler
-(via :func:`repro.coresim.native.build.werror_check`).  The regular kernel
+The library's translation units are the ones its build compiles
+(:data:`repro.coresim.native.build.SOURCE_PATHS`: ``_core.c`` and
+``_memsim.c``); each is checked on its own.  Unlike the other rule families
+this one shells out to the system C compiler (via
+:func:`repro.coresim.native.build.werror_check`).  The regular kernel
 build deliberately does **not** pass ``-Werror`` — a user's toolchain must
 never lose the native kernel over a new warning — so the strictness lives
 here, in the lint, where a warning is a reviewable finding instead of a
@@ -19,15 +23,30 @@ from .tree import SourceTree
 
 RULE = "native-warnings"
 
-C_PATH = "src/repro/coresim/native/_core.c"
+#: Repository-relative directory of the library's C sources.
+NATIVE_DIR = "src/repro/coresim/native"
+
+
+def c_paths() -> "list[str]":
+    """Repository-relative paths of every C source the library build compiles."""
+    from ..coresim.native import build
+
+    return [f"{NATIVE_DIR}/{path.name}" for path in build.SOURCE_PATHS]
 
 
 def check(tree: SourceTree) -> "list[Finding]":
+    findings: list[Finding] = []
+    for path in c_paths():
+        findings.extend(_check_source(tree, path))
+    return findings
+
+
+def _check_source(tree: SourceTree, path: str) -> "list[Finding]":
     from ..coresim.native import build
 
-    if not tree.exists(C_PATH):
-        return [Finding(RULE, C_PATH, 0, "native kernel C source is missing")]
-    ok, diagnostics = build.werror_check(tree.read(C_PATH))
+    if not tree.exists(path):
+        return [Finding(RULE, path, 0, "native kernel C source is missing")]
+    ok, diagnostics = build.werror_check(tree.read(path))
     if ok is None or ok:
         return []
     findings = []
@@ -40,9 +59,9 @@ def check(tree: SourceTree) -> "list[Finding]":
             lineno = 0
             if len(parts) >= 2 and parts[1].isdigit():
                 lineno = int(parts[1])
-            findings.append(Finding(RULE, C_PATH, lineno, parts[-1].strip()))
+            findings.append(Finding(RULE, path, lineno, parts[-1].strip()))
     if not findings:
         findings.append(
-            Finding(RULE, C_PATH, 0, diagnostics or "werror gate failed")
+            Finding(RULE, path, 0, diagnostics or "werror gate failed")
         )
     return findings

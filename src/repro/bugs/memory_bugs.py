@@ -8,11 +8,15 @@ Each bug is a :class:`~repro.memsim.hooks.MemoryBugModel` subclass:
 4. SPP signatures are reset, making the prefetcher use the wrong address.
 5. Lookahead prefetching follows the least-confident path.
 6. Some prefetches are incorrectly marked as executed.
+
+Each class also declares its hooks as a
+:class:`~repro.memsim.hooks.NativeMemorySpec`, so it runs on the native
+memory walk when the library is built.
 """
 
 from __future__ import annotations
 
-from ..memsim.hooks import MemoryBugModel
+from ..memsim.hooks import MemoryBugModel, NativeMemorySpec
 from .base import BugInfo
 
 
@@ -47,6 +51,9 @@ class NoAgeUpdateOnAccess(MemoryBug):
     def update_replacement_on_access(self, level: str) -> bool:
         return level != self.level
 
+    def native_spec(self) -> NativeMemorySpec:
+        return NativeMemorySpec(no_age_update=(self.level,))
+
 
 class EvictMRU(MemoryBug):
     """Bug 2: evictions remove the most recently used block."""
@@ -63,6 +70,9 @@ class EvictMRU(MemoryBug):
 
     def evict_most_recently_used(self, level: str) -> bool:
         return level == self.level
+
+    def native_spec(self) -> NativeMemorySpec:
+        return NativeMemorySpec(evict_mru=(self.level,))
 
 
 class LoadMissDelay(MemoryBug):
@@ -86,6 +96,9 @@ class LoadMissDelay(MemoryBug):
             return self.delay
         return 0
 
+    def native_spec(self) -> NativeMemorySpec:
+        return NativeMemorySpec(miss_delay=(self.level, self.threshold, self.delay))
+
 
 class SPPSignatureReset(MemoryBug):
     """Bug 4: SPP signatures are reset, so learned delta paths are lost."""
@@ -101,6 +114,9 @@ class SPPSignatureReset(MemoryBug):
 
     def spp_corrupt_signature(self, signature: int) -> int:
         return 0
+
+    def native_spec(self) -> NativeMemorySpec:
+        return NativeMemorySpec(spp_reset=True)
 
 
 class SPPLeastConfidence(MemoryBug):
@@ -118,6 +134,9 @@ class SPPLeastConfidence(MemoryBug):
     def spp_pick_least_confident(self) -> bool:
         return True
 
+    def native_spec(self) -> NativeMemorySpec:
+        return NativeMemorySpec(spp_least_confident=True)
+
 
 class SPPDroppedPrefetches(MemoryBug):
     """Bug 6: a fraction of prefetches are marked executed but never issued."""
@@ -134,6 +153,9 @@ class SPPDroppedPrefetches(MemoryBug):
 
     def spp_drop_prefetch(self, prefetch_index: int) -> bool:
         return prefetch_index % self.drop_every == 0
+
+    def native_spec(self) -> NativeMemorySpec:
+        return NativeMemorySpec(spp_drop_every=self.drop_every)
 
 
 #: Memory bug-type identifiers in the paper's order.

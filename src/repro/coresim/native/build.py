@@ -1,17 +1,20 @@
-"""Lazy build layer for the native simulation kernel.
+"""Lazy build layer for the native simulation kernels.
 
-The C source (``_core.c``, shipped inside the package) is compiled on first
-use with whatever system compiler is discoverable — there is deliberately no
-numba/Cython/setuptools-build-time dependency.  The resulting shared library
-is cached under a per-user build directory keyed by
-``blake2b(source + flags + compiler + compiler version)``, so source edits,
-flag changes, and toolchain upgrades each get a fresh artifact while repeat
-runs pay nothing.
+The C sources (``_core.c``, the core cycle loop, and ``_memsim.c``, the
+memory-hierarchy walk; both shipped inside the package) are compiled into
+one shared library on first use with whatever system compiler is
+discoverable — there is deliberately no numba/Cython/setuptools-build-time
+dependency.  The library is cached under a per-user build directory keyed
+by ``blake2b(sources + flags + compiler + compiler version)``, so source
+edits, flag changes, and toolchain upgrades each get a fresh artifact while
+repeat runs pay nothing.
 
 Failure is never an exception here: no compiler, an unwritable cache
 directory, or a failed compile all degrade to ``None`` with a single
-``RuntimeWarning`` per process, and kernel resolution falls back to the
-scalar pipeline (see ``repro.coresim.simulator``).
+``RuntimeWarning`` per process, and both users fall back to Python: the
+core kernel resolution to the scalar pipeline (see
+``repro.coresim.simulator``), the memory study to the Python walk (see
+``repro.memsim.simulator``).
 
 Environment knobs:
 
@@ -56,8 +59,9 @@ SANITIZE_ENV_VAR = "REPRO_NATIVE_SANITIZE"
 #: Compilers probed on PATH, in preference order, when no override is set.
 COMPILER_CANDIDATES = ("gcc", "cc", "clang")
 
-#: Flags for the shared-library build.  Part of the cache key.
-CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared")
+#: Flags for the shared-library build.  Part of the cache key.  No FP
+#: contraction: the memory walk's float sums must round as Python's do.
+CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: Warning gate flags: the C source must stay warning-clean under these.
 #: Checked by ``werror_check`` (wired into repro-lint and CI), not by the
@@ -65,7 +69,11 @@ CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared")
 #: a new warning.
 WERROR_FLAGS = ("-Wall", "-Wextra", "-Werror")
 
-SOURCE_PATH = Path(__file__).with_name("_core.c")
+#: The translation units of the library, in link order.
+SOURCE_PATHS = (
+    Path(__file__).with_name("_core.c"),
+    Path(__file__).with_name("_memsim.c"),
+)
 
 _lib: "ctypes.CDLL | None" = None
 _lib_resolved = False
@@ -80,7 +88,7 @@ def _warn_once(reason: str) -> None:
     _warned = True
     warnings.warn(
         f"repro native kernel unavailable ({reason}); "
-        "falling back to the scalar kernel",
+        "falling back to the scalar kernel and the Python memory walk",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -183,14 +191,16 @@ def library_path() -> "Path | None":
         _warn_once("no usable C compiler (set $REPRO_NATIVE_CC or install gcc/cc)")
         return None
     compiler = info["path"]
-    try:
-        source = SOURCE_PATH.read_text(encoding="utf-8")
-    except OSError as exc:
-        _warn_once(f"cannot read {SOURCE_PATH.name}: {exc}")
-        return None
+    sources = []
+    for path in SOURCE_PATHS:
+        try:
+            sources.append(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            _warn_once(f"cannot read {path.name}: {exc}")
+            return None
     cflags = active_cflags()
     key = hashlib.blake2b(
-        "\x00".join([source, " ".join(cflags), compiler, info["version"]]).encode(
+        "\x00".join([*sources, " ".join(cflags), compiler, info["version"]]).encode(
             "utf-8"
         ),
         digest_size=16,
@@ -210,7 +220,7 @@ def library_path() -> "Path | None":
         return None
     try:
         proc = subprocess.run(
-            [compiler, *cflags, str(SOURCE_PATH), "-o", tmp_path],
+            [compiler, *cflags, *map(str, SOURCE_PATHS), "-o", tmp_path],
             capture_output=True,
             text=True,
             timeout=300,
@@ -229,8 +239,8 @@ def library_path() -> "Path | None":
     return artifact
 
 
-def werror_check(source_text: "str | None" = None) -> "tuple[bool | None, str]":
-    """Syntax-check the kernel source under ``-Wall -Wextra -Werror``.
+def werror_check(source_text: str) -> "tuple[bool | None, str]":
+    """Syntax-check one kernel source text under ``-Wall -Wextra -Werror``.
 
     Returns ``(ok, diagnostics)``.  ``ok`` is ``None`` when no compiler is
     available (callers — repro-lint's native gate and CI — skip cleanly).
@@ -240,11 +250,6 @@ def werror_check(source_text: "str | None" = None) -> "tuple[bool | None, str]":
     info = compiler_info()
     if info is None:
         return None, "no usable C compiler"
-    if source_text is None:
-        try:
-            source_text = SOURCE_PATH.read_text(encoding="utf-8")
-        except OSError as exc:
-            return False, f"cannot read {SOURCE_PATH.name}: {exc}"
     fd, tmp_path = tempfile.mkstemp(prefix=".repro_werror_", suffix=".c")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

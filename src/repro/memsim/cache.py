@@ -11,6 +11,9 @@ from __future__ import annotations
 from ..uarch.config import CacheConfig
 from .hooks import MemoryBugModel
 
+#: Shared read-only stand-in for a set that holds no line yet.
+_EMPTY: "dict[int, int]" = {}
+
 
 class ReplacementCache:
     """One cache level with true-LRU replacement and prefetch support."""
@@ -22,9 +25,11 @@ class ReplacementCache:
         self.num_sets = config.num_sets
         self.associativity = config.associativity
         self.line_shift = config.line_size.bit_length() - 1
-        # tag -> age timestamp; parallel dict marks prefetched-but-unused lines.
-        self._sets: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._prefetched: list[set[int]] = [set() for _ in range(self.num_sets)]
+        # set index -> {tag: age timestamp} and -> prefetched-but-unused tags.
+        # Both are created on a set's first insert: one probe touches a few
+        # hundred lines of an LLC with thousands of sets.
+        self._sets: dict[int, dict[int, int]] = {}
+        self._prefetched: dict[int, set[int]] = {}
         self._tick = 0
 
         self.accesses = 0
@@ -41,7 +46,11 @@ class ReplacementCache:
         return line % self.num_sets, line // self.num_sets
 
     def _insert(self, set_index: int, tag: int, prefetch: bool) -> None:
-        cache_set = self._sets[set_index]
+        cache_set = self._sets.get(set_index)
+        if cache_set is None:
+            cache_set = self._sets[set_index] = {}
+            self._prefetched[set_index] = set()
+        prefetched = self._prefetched[set_index]
         if tag in cache_set:
             cache_set[tag] = self._tick
             return
@@ -51,13 +60,13 @@ class ReplacementCache:
             else:
                 victim = min(cache_set, key=cache_set.get)
             del cache_set[victim]
-            self._prefetched[set_index].discard(victim)
+            prefetched.discard(victim)
             self.evictions += 1
         cache_set[tag] = self._tick
         if prefetch:
-            self._prefetched[set_index].add(tag)
+            prefetched.add(tag)
         else:
-            self._prefetched[set_index].discard(tag)
+            prefetched.discard(tag)
 
     # -- public API ------------------------------------------------------------
 
@@ -65,14 +74,15 @@ class ReplacementCache:
         """Demand access; returns True on hit and allocates the line on miss."""
         self._tick += 1
         set_index, tag = self._locate(address)
-        cache_set = self._sets[set_index]
+        cache_set = self._sets.get(set_index, _EMPTY)
         self.accesses += 1
         if tag in cache_set:
             if self.bug.update_replacement_on_access(self.name):
                 cache_set[tag] = self._tick
-            if tag in self._prefetched[set_index]:
+            prefetched = self._prefetched[set_index]
+            if tag in prefetched:
                 self.useful_prefetches += 1
-                self._prefetched[set_index].discard(tag)
+                prefetched.discard(tag)
             return True
         self.misses += 1
         if is_load:
@@ -84,7 +94,7 @@ class ReplacementCache:
         """Install a prefetched line (no demand-access statistics)."""
         self._tick += 1
         set_index, tag = self._locate(address)
-        if tag in self._sets[set_index]:
+        if tag in self._sets.get(set_index, _EMPTY):
             return
         self.prefetch_fills += 1
         self._insert(set_index, tag, prefetch=True)
@@ -92,7 +102,7 @@ class ReplacementCache:
     def contains(self, address: int) -> bool:
         """Tag-store probe with no side effects."""
         set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        return tag in self._sets.get(set_index, _EMPTY)
 
     def reset_stats(self) -> None:
         self.accesses = 0

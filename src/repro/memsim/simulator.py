@@ -28,6 +28,9 @@ DEFAULT_STEP_INSTRUCTIONS = 2000
 #: How much of a miss's latency the out-of-order core is assumed to overlap.
 MLP_FACTOR = 3.0
 
+#: Leading share of a trace that only warms the caches.
+WARMUP_FRACTION = 0.1
+
 
 @dataclass
 class MemSimResult:
@@ -95,7 +98,9 @@ class MemoryHierarchySim:
 
     # -- driver ------------------------------------------------------------------
 
-    def run(self, trace: list[MicroOp], warmup_fraction: float = 0.1) -> MemSimResult:
+    def run(
+        self, trace: list[MicroOp], warmup_fraction: float = WARMUP_FRACTION
+    ) -> MemSimResult:
         """Simulate *trace*; the first *warmup_fraction* of it warms the caches."""
         if not trace:
             raise ValueError("cannot simulate an empty trace")
@@ -192,14 +197,23 @@ def simulate_memory_trace(
     bug: MemoryBugModel | None = None,
     step_instructions: int = DEFAULT_STEP_INSTRUCTIONS,
 ) -> MemSimResult:
-    """Convenience wrapper mirroring :func:`repro.coresim.simulate_trace`.
+    """Simulate *trace* on *config*, on the native walk when it can run.
 
     Accepts a plain micro-op list or a pre-decoded
     :class:`~repro.workloads.decoded.DecodedTrace` (as shipped to job-engine
-    workers); the memory simulator walks micro-op objects either way.
+    workers).  The compiled walk (:mod:`repro.memsim.native`) runs when the
+    native library is built and *bug* declares a native spec for every hook
+    it overrides; otherwise :class:`MemoryHierarchySim` walks the micro-op
+    objects.  Both lanes return bit-identical results.
     """
-    sim = MemoryHierarchySim(config, bug=bug, step_instructions=step_instructions)
-    return sim.run(as_uops(trace))
+    from .native import NativeKernelUnavailable, simulate_memory_native  # module cycle
+
+    bug = bug if bug is not None else MEM_BUG_FREE
+    try:
+        return simulate_memory_native(config, trace, bug, step_instructions)
+    except NativeKernelUnavailable:
+        sim = MemoryHierarchySim(config, bug=bug, step_instructions=step_instructions)
+        return sim.run(as_uops(trace))
 
 
 def llc_mpki(result: MemSimResult) -> float:

@@ -109,6 +109,12 @@ class GradientBoostedTrees(Regressor):
                     if rounds_without_improvement >= self.early_stopping_rounds:
                         self._trees = self._trees[:best_round]
                         self._stacked = None
+                        if not self._trees:
+                            raise ValueError(
+                                "GradientBoostedTrees.fit: the validation loss "
+                                f"was never finite (last {val_loss!r}), so "
+                                "early stopping would keep zero trees"
+                            )
                         break
 
         final_pred = self.predict(X)

@@ -346,10 +346,10 @@ class JobEngine:
             else:
                 self.progress(done, total)
 
-    def _persist(self, job: SimulationJob, result: StoredResult) -> None:
+    def _persist(self, key: str, result: StoredResult) -> None:
         """Write one finished result to the store immediately (resumability)."""
         if self.store is not None:
-            self.store.put(job.key(), result)
+            self.store.put(key, result)
 
     # -- API -------------------------------------------------------------------
 
@@ -374,6 +374,7 @@ class JobEngine:
         # Resolve store hits and batch-internal duplicates first.
         pending: list[tuple[int, SimulationJob]] = []
         first_index_of_key: dict[str, int] = {}
+        key_of_index: dict[int, str] = {}
         duplicates: list[tuple[int, int]] = []
         for index, job in enumerate(jobs):
             if job.trace_id not in traces:
@@ -385,6 +386,7 @@ class JobEngine:
                 duplicates.append((index, first_index_of_key[key]))
                 continue
             first_index_of_key[key] = index
+            key_of_index[index] = key
             if self.store is not None:
                 stored = self.store.get(key)
                 if stored is not None:
@@ -400,7 +402,6 @@ class JobEngine:
             # place work *elsewhere*, so even one job goes through it.
             if self.backend.inline or (len(pending) == 1 and not self.backend.remote):
                 done = total - len(pending) - len(duplicates)
-                job_of_index = dict(pending)
                 # Unit planning groups same-(config, bug, step) jobs into
                 # batch units when a batching kernel is selected; with
                 # the scalar kernel every unit is one job (seed behaviour).
@@ -410,6 +411,7 @@ class JobEngine:
                             unit,
                             {j.trace_id: traces[j.trace_id] for _, j in unit},
                             kernel=self.kernel,
+                            keys=key_of_index,
                         )
                     except Exception as exc:
                         raise JobFailedError(
@@ -417,11 +419,13 @@ class JobEngine:
                         ) from exc
                     for index, stored in unit_results:
                         results[index] = stored
-                        self._persist(job_of_index[index], stored)
+                        self._persist(key_of_index[index], stored)
                         done += 1
                         self._report(done, total)
             else:
-                self._run_parallel(pending, traces, results, total, len(duplicates))
+                self._run_parallel(
+                    pending, traces, results, total, len(duplicates), key_of_index
+                )
             self.stats.executed += len(pending)
 
         for index, source in duplicates:
@@ -437,13 +441,13 @@ class JobEngine:
         results: list[StoredResult | None],
         total: int,
         num_duplicates: int,
+        key_of_index: "dict[int, str]",
     ) -> None:
         needed_ids = {job.trace_id for _, job in pending}
         batch_traces = {tid: traces[tid] for tid in needed_ids}
         backend = self.backend
         backend.start(batch_traces)
         known_ids = backend.known_trace_ids()
-        job_of_index = dict(pending)
         chunks = self._plan_chunks(pending, traces)
         self.stats.chunks += len(chunks)
         done = total - len(pending) - num_duplicates
@@ -470,7 +474,7 @@ class JobEngine:
                 # resumes instead of recomputing.
                 for index, stored in chunk_results:
                     results[index] = stored
-                    self._persist(job_of_index[index], stored)
+                    self._persist(key_of_index[index], stored)
                     done += 1
                 if failure is not None:
                     raise JobFailedError(failure.description, failure.remote_traceback)

@@ -29,22 +29,30 @@ import numpy as np
 from ..coresim.hooks import is_hook_free
 from ..coresim.simulator import resolve_kernel, simulate_trace, simulate_trace_batch
 from ..memsim.simulator import simulate_memory_trace
-from .job import CORE_STUDY, MEMORY_STUDY, SimulationJob, bug_fingerprint, config_fingerprint
+from .job import (
+    CORE_STUDY,
+    MEMORY_STUDY,
+    SimulationJob,
+    bug_fingerprint,
+    config_fingerprint,
+    seed_from_key,
+)
 from .store import StoredResult
 
 
 def execute_job(
-    job: SimulationJob, trace, kernel: "str | None" = None
+    job: SimulationJob, trace, kernel: "str | None" = None, key: "str | None" = None
 ) -> StoredResult:
     """Run one job to completion on *trace* (in-process or in a worker).
 
     *kernel* selects the core-study simulation kernel (``None`` defers to
-    ``REPRO_KERNEL``); memory-study jobs ignore it.
+    ``REPRO_KERNEL``); memory-study jobs ignore it.  *key* is the job's
+    :meth:`~SimulationJob.key` when the caller already computed it.
     """
     # The simulators are deterministic, but seed the global RNGs from the
     # job identity anyway so any future stochastic component stays
     # reproducible and identical across serial/parallel execution.
-    seed = job.seed()
+    seed = seed_from_key(key if key is not None else job.key())
     # repro: allow(global-rng): sanctioned save/seed site pinning the streams
     python_state = random.getstate()
     numpy_state = np.random.get_state()  # repro: allow(global-rng): see above
@@ -142,18 +150,25 @@ def _execute_unit(
     unit: "list[tuple[int, SimulationJob]]",
     traces: Mapping,
     kernel: "str | None" = None,
+    keys: "Mapping[int, str] | None" = None,
 ) -> "list[tuple[int, StoredResult]]":
     """Execute one planned unit (a single job or a same-group batch).
 
     *kernel* is the selection the unit was planned under (``None`` defers to
     ``REPRO_KERNEL``); it is forwarded to the simulator so batches run on
-    the kernel that justified grouping them.
+    the kernel that justified grouping them.  *keys* maps a unit index to
+    its job's key when the caller already hashed the jobs.
     """
+    keys = keys or {}
     if len(unit) == 1:
         index, job = unit[0]
-        return [(index, execute_job(job, traces[job.trace_id], kernel=kernel))]
-    first = unit[0][1]
-    seed = first.seed()
+        return [
+            (index, execute_job(job, traces[job.trace_id], kernel=kernel,
+                                key=keys.get(index)))
+        ]
+    first_index, first = unit[0]
+    first_key = keys.get(first_index)
+    seed = seed_from_key(first_key if first_key is not None else first.key())
     # repro: allow(global-rng): sanctioned save/seed site — mirrors execute_job
     python_state = random.getstate()
     numpy_state = np.random.get_state()  # repro: allow(global-rng): see above

@@ -102,6 +102,15 @@ def trace_digest(trace: "Iterable[MicroOp] | DecodedTrace") -> str:
     return hasher.hexdigest()
 
 
+def seed_from_key(key: str) -> int:
+    """The per-job seed of the job whose :meth:`SimulationJob.key` is *key*.
+
+    Callers that already hold the key derive the seed from it instead of
+    hashing the job a second time.
+    """
+    return int.from_bytes(bytes.fromhex(key[:16]), "big")
+
+
 @dataclass(frozen=True)
 class SimulationJob:
     """One independent simulator invocation, as pure picklable data.
@@ -150,7 +159,7 @@ class SimulationJob:
 
     def seed(self) -> int:
         """Deterministic per-job seed derived from the job identity."""
-        return int.from_bytes(bytes.fromhex(self.key()[:16]), "big")
+        return seed_from_key(self.key())
 
     def describe(self) -> str:
         """Short human-readable identity for logs and error messages."""

@@ -31,12 +31,18 @@ request finish streaming its verdicts, close the listener and exit 0 — a
 drain, not an abort.  Subcommands::
 
     repro-serve train MODEL.pkl --scale smoke [--trace-dir D] [--store S]
-    repro-serve run   MODEL.pkl [--host H] [--port P] [--store S] [--port-file F]
+    repro-serve run   MODEL.pkl [--host H [--allow-remote]] [--port P] [--store S]
+                                [--port-file F]
+
+Every frame is unpickled, so any client that can connect can run code in
+the daemon: ``run`` refuses a non-loopback ``--host`` unless
+``--allow-remote`` is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import ipaddress
 import os
 import signal
 import socket
@@ -371,7 +377,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def is_loopback_host(host: str) -> bool:
+    """True for ``localhost`` and loopback IP literals (no name lookup)."""
+    if host == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
 def _cmd_run(args) -> int:
+    if not args.allow_remote and not is_loopback_host(args.host):
+        print(
+            f"repro-serve: refusing to listen on non-loopback host {args.host!r}: "
+            "frames are unpickled, so any client that can connect can run code "
+            "here; pass --allow-remote to accept that risk",
+            file=sys.stderr,
+        )
+        return 2
     model = load_model(args.registry)
     store = ResultStore(args.store) if args.store else None
     server = DetectionServer(
@@ -430,6 +454,9 @@ def main(argv: "list[str] | None" = None) -> int:
     run = commands.add_parser("run", help="serve a trained model over a socket")
     run.add_argument("registry", help="model registry file written by 'train'")
     run.add_argument("--host", default="127.0.0.1")
+    run.add_argument("--allow-remote", action="store_true",
+                     help="allow a non-loopback --host (frames are unpickled: "
+                          "any client that can connect can run code)")
     run.add_argument("--port", type=int, default=0,
                      help="TCP port (default 0: ephemeral, printed on startup)")
     run.add_argument("--port-file", default=None,

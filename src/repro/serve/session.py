@@ -175,7 +175,10 @@ class ServingSession:
             # with the scalar kernel the same plan runs job-by-job.
             for unit in plan_batches(pending, self.kernel):
                 for index, stored in _execute_unit(
-                    unit, self._registry.traces, kernel=self.kernel
+                    unit,
+                    self._registry.traces,
+                    kernel=self.kernel,
+                    keys={i: pending_names[i][1] for i, _job in unit},
                 ):
                     probe_name, key = pending_names[index]
                     results[probe_name] = stored

@@ -288,13 +288,31 @@ def memsim_digests(simulate) -> dict:
 
 
 def main_memsim() -> int:
-    from repro.memsim import simulate_memory_trace
+    from repro.coresim import native_available
+    from repro.memsim import MemoryHierarchySim, MemoryBugModel
+    from repro.memsim.native import simulate_memory_native
 
+    # The Python walk is the reference lane; the native walk must reproduce
+    # it before anything is pinned.
     digests = memsim_digests(
-        lambda config, trace, bug, step: simulate_memory_trace(
-            config, trace, bug=bug, step_instructions=step
-        )
+        lambda config, trace, bug, step: MemoryHierarchySim(
+            config, bug=bug, step_instructions=step
+        ).run(list(trace))
     )
+    if native_available():
+        native = memsim_digests(
+            lambda config, trace, bug, step: simulate_memory_native(
+                config, trace, bug if bug is not None else MemoryBugModel(), step
+            )
+        )
+        drifted = sorted(name for name in digests if native[name] != digests[name])
+        if drifted:
+            raise SystemExit(
+                f"native memsim walk diverges from the Python walk on "
+                f"{len(drifted)} cases (e.g. {drifted[0]}); fix it before pinning"
+            )
+    else:
+        print("WARNING: no C compiler found; native memsim walk NOT verified")
     payload = {
         "comment": (
             "Digests of memory-hierarchy simulator results (every memory "

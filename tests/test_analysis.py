@@ -253,6 +253,34 @@ class TestCounterContract:
         assert any("rob_size" in m for m in messages), messages
         assert any("rob_sizz" in m for m in messages), messages
 
+    def test_memsim_struct_field_rename_detected(self):
+        overlay = _mutate(
+            "src/repro/coresim/native/_memsim.c",
+            "i64 spp_drop_every;",
+            "i64 spp_drop_evry;",
+        )
+        messages = [f.message for f in counter_findings(overlay)]
+        assert any("MemParams" in m and "spp_drop_every" in m for m in messages), messages
+        assert any("spp_drop_evry" in m for m in messages), messages
+
+    def test_memsim_column_skew_detected(self):
+        overlay = _mutate(
+            "src/repro/memsim/native.py",
+            '    "mem.stall_cycles",\n)',
+            '    "mem.stall_cycles",\n    "mem.phantom",\n)',
+        )
+        messages = [f.message for f in counter_findings(overlay)]
+        assert any("NUM_MEM_COLUMNS" in m for m in messages), messages
+
+    def test_memsim_entry_point_removal_detected(self):
+        overlay = _mutate(
+            "src/repro/coresim/native/_memsim.c",
+            "int repro_memsim(",
+            "int repro_memsim_renamed(",
+        )
+        messages = [f.message for f in counter_findings(overlay)]
+        assert any("repro_memsim" in m for m in messages), messages
+
     def test_manifest_kernel_skew_detected(self):
         manifest = json.loads(
             (REPO_ROOT / "tests/data/counter_manifest.json").read_text("utf-8")
@@ -358,6 +386,43 @@ class TestHookContract:
             "        return True\n"
         )
         assert hook_contract.check_overrides(tree_with({path: source})) == []
+
+
+    def test_memory_hook_override_without_spec_fires(self):
+        path = "src/repro/synthetic_memory_bug.py"
+        source = (
+            "from repro.bugs.memory_bugs import MemoryBug\n\n"
+            "class SilentBug(MemoryBug):\n"
+            "    def spp_pick_least_confident(self):\n"
+            "        return True\n"
+        )
+        findings = hook_contract.check_memory_specs(tree_with({path: source}))
+        assert len(findings) == 1
+        assert findings[0].path == path
+        assert "SilentBug" in findings[0].message
+        assert "native_spec" in findings[0].message
+
+    def test_memory_hook_override_with_spec_is_fine(self):
+        path = "src/repro/synthetic_memory_bug.py"
+        source = (
+            "from repro.memsim.hooks import MemoryBugModel, NativeMemorySpec\n\n"
+            "class HonestBug(MemoryBugModel):\n"
+            "    def spp_pick_least_confident(self):\n"
+            "        return True\n\n"
+            "    def native_spec(self):\n"
+            "        return NativeMemorySpec(spp_least_confident=True)\n"
+        )
+        assert hook_contract.check_memory_specs(tree_with({path: source})) == []
+
+    def test_shipped_memory_bug_losing_its_spec_fires(self):
+        overlay = _mutate(
+            "src/repro/bugs/memory_bugs.py",
+            "    def native_spec(self) -> NativeMemorySpec:\n"
+            "        return NativeMemorySpec(spp_reset=True)\n",
+            "",
+        )
+        findings = hook_contract.check(tree_with(overlay))
+        assert any("SPPSignatureReset" in f.message for f in findings), findings
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +535,21 @@ class TestNativeGate:
         }
         findings = native_gate.check(tree_with(overlay))
         assert findings, "expected -Wall/-Wextra to flag the unused fixture"
+
+    def test_every_library_source_is_gated(self):
+        from repro.coresim.native import build
+
+        if build.find_compiler() is None:
+            pytest.skip("no C compiler on this host")
+        assert native_gate.c_paths() == [
+            "src/repro/coresim/native/_core.c",
+            "src/repro/coresim/native/_memsim.c",
+        ]
+        path = "src/repro/coresim/native/_memsim.c"
+        text = (REPO_ROOT / path).read_text("utf-8")
+        overlay = {path: text + "\nstatic int lint_fixture(int unused) { return 0; }\n"}
+        findings = native_gate.check(tree_with(overlay))
+        assert findings and {f.path for f in findings} == {path}
 
     def test_sanitize_mode_parsing(self, monkeypatch):
         from repro.coresim.native import build

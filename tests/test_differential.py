@@ -18,6 +18,12 @@ Also here: the golden per-preset digests (oracle drift is caught in seconds
 without executing the reference pipeline — regenerate via
 ``tests/data/make_golden.py``) and the cross-kernel engine/store contract
 (result-store content must not depend on the kernel that produced it).
+
+The memory-hierarchy simulator has two lanes under the same oracle: the
+Python walk (``MemoryHierarchySim``, the reference) and the native walk
+(``repro.memsim.native``).  Both are checked against the memsim golden
+digests (``tests/data/golden_memsim.json``) and against each other by a
+seeded fuzz over the memsynth archetypes and mix1–mix7.
 """
 
 import dataclasses
@@ -560,3 +566,267 @@ class TestCrossKernelEngine:
         # inline backends honour the argument alone
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         JobEngine(jobs=1, kernel="native").close()
+
+
+# ---------------------------------------------------------------------------
+# Memory-hierarchy simulator: Python walk vs native walk
+# ---------------------------------------------------------------------------
+
+from repro.bugs.memory_bugs import (  # noqa: E402 - memsim section imports
+    EvictMRU,
+    LoadMissDelay,
+    NoAgeUpdateOnAccess,
+    SPPDroppedPrefetches,
+    SPPLeastConfidence,
+    SPPSignatureReset,
+)
+from repro.memsim import MemoryHierarchySim, simulate_memory_trace  # noqa: E402
+from repro.memsim.hooks import MemoryBugModel, declared_spec  # noqa: E402
+from repro.coresim.native import NativeKernelUnavailable  # noqa: E402
+from repro.memsim.native import simulate_memory_native  # noqa: E402
+from repro.uarch.config import CacheConfig, kb  # noqa: E402
+from repro.uarch.memory_presets import all_memory_microarches  # noqa: E402
+from repro.workloads.memsynth import MEMSYNTH_WORKLOADS, memsynth_trace  # noqa: E402
+from repro.workloads.mixes import DEFAULT_MIXES, build_mix  # noqa: E402
+
+#: Fuzz cases per trace source (4 memsynth archetypes + 7 mixes).
+MEMSIM_FUZZ_CASES_PER_SOURCE = 2
+
+
+def _python_lane(config, trace, bug, step):
+    return MemoryHierarchySim(config, bug=bug, step_instructions=step).run(
+        list(trace)
+    )
+
+
+def _native_lane(config, trace, bug, step):
+    return simulate_memory_native(
+        config, trace, bug if bug is not None else MemoryBugModel(), step
+    )
+
+
+def _require_native_memsim():
+    if not native_available():
+        pytest.skip("no C compiler on this host (Python fallback covered by "
+                    "test_native_kernel.py)")
+
+
+def _assert_memsim_identical(a, b, context, ordered=True):
+    """Bit-identity of two MemSimResults (counter order included when
+    *ordered*; a store round trip need not keep it)."""
+    assert (a.config_name, a.bug_name) == (b.config_name, b.bug_name), context
+    assert a.instructions == b.instructions, context
+    assert float(a.cycles).hex() == float(b.cycles).hex(), (context, a.cycles, b.cycles)
+    assert float(a.amat).hex() == float(b.amat).hex(), (context, a.amat, b.amat)
+    assert a.series.step_cycles == b.series.step_cycles, context
+    names_a, names_b = list(a.series.counters), list(b.series.counters)
+    if not ordered:
+        names_a, names_b = sorted(names_a), sorted(names_b)
+    assert names_a == names_b, context
+    assert a.series.ipc.tobytes() == b.series.ipc.tobytes(), context
+    for name, values in a.series.counters.items():
+        other = b.series.counters[name]
+        assert values.dtype == other.dtype == np.float64, (context, name)
+        assert values.tobytes() == other.tobytes(), (context, name)
+
+
+def _random_memory_config(rng: random.Random):
+    """A real memory preset, often with small caches and a random prefetcher
+    so that evictions, prefetch fills and the bug paths all fire."""
+    config = rng.choice(all_memory_microarches())
+    fields = {}
+    if rng.random() < 0.6:
+        fields["l1d"] = CacheConfig(kb(rng.choice([2, 4, 8])), rng.choice([1, 2, 4]),
+                                    rng.choice([2, 4]))
+        fields["l2"] = CacheConfig(kb(rng.choice([16, 32])), rng.choice([4, 8]),
+                                   rng.choice([8, 12]))
+        fields["llc"] = CacheConfig(kb(rng.choice([64, 128])), rng.choice([8, 16]),
+                                    rng.choice([20, 30]))
+    if rng.random() < 0.5:
+        fields["prefetcher"] = rng.choice(["none", "next_line", "spp"])
+        fields["prefetch_degree"] = rng.choice([1, 2, 4])
+    if rng.random() < 0.3:
+        fields["issue_width"] = rng.choice([1, 2, 3, 6])
+    return dataclasses.replace(config, name=f"{config.name}-fuzz", **fields)
+
+
+def _random_memory_bug(rng: random.Random):
+    level = rng.choice(["l1d", "l2", "llc"])
+    return rng.choice(
+        [
+            None,
+            NoAgeUpdateOnAccess(level),
+            EvictMRU(level),
+            LoadMissDelay(level, threshold=rng.choice([0, 3, 64]),
+                          delay=rng.choice([1, 20, 40])),
+            SPPSignatureReset(),
+            SPPLeastConfidence(),
+            SPPDroppedPrefetches(rng.choice([1, 2, 3, 4])),
+        ]
+    )
+
+
+def _memsim_fuzz_cases():
+    rng = random.Random(FUZZ_SEED)
+    sources = [
+        (name, decode_trace(memsynth_trace(name, rng.randrange(800, 2400),
+                                           seed=rng.randrange(1 << 16))))
+        for name in MEMSYNTH_WORKLOADS
+    ] + [
+        (spec.name, build_mix(spec, instructions=rng.randrange(800, 2400),
+                              seed=rng.randrange(1 << 16)).decoded)
+        for spec in DEFAULT_MIXES
+    ]
+    cases = []
+    for source, trace in sources:
+        for _ in range(MEMSIM_FUZZ_CASES_PER_SOURCE):
+            cases.append(
+                (len(cases), source, trace, _random_memory_config(rng),
+                 _random_memory_bug(rng), rng.choice([1, 7, 100, 250, 500]))
+            )
+    return cases
+
+
+class TestMemsimGolden:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(DATA_DIR / "golden_memsim.json", "r", encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @pytest.fixture(scope="class")
+    def make_golden(self):
+        return _load_make_golden()
+
+    def test_golden_covers_every_preset_and_bug(self, golden, make_golden):
+        expected = {
+            make_golden.memsim_case_name(trace_name, config, bug)
+            for trace_name in ("403.gcc", "kvstore.k6")
+            for config in all_memory_microarches()
+            for bug in make_golden.memsim_bugs()
+        }
+        assert set(golden["digests"]) == expected
+        assert len(expected) == 2 * 12 * 11
+        assert golden["step_instructions"] == make_golden.MEMSIM_STEP
+
+    @pytest.mark.parametrize("lane", ["python", "native"])
+    def test_lane_matches_golden(self, golden, make_golden, lane):
+        if lane == "native":
+            _require_native_memsim()
+        simulate = _python_lane if lane == "python" else _native_lane
+        digests = make_golden.memsim_digests(simulate)
+        drifted = sorted(k for k, v in golden["digests"].items() if digests[k] != v)
+        assert not drifted, (
+            f"{lane} memsim lane drifted from the pinned oracle on "
+            f"{len(drifted)} cases, e.g. {drifted[:3]} (regenerate via "
+            "'make_golden.py memsim' ONLY for a deliberate semantic change)"
+        )
+
+
+class TestMemsimDifferentialFuzz:
+    """Python walk == native walk over seeded memsynth and mix traces."""
+
+    @pytest.mark.parametrize("case,source,trace,config,bug,step", _memsim_fuzz_cases(),
+                             ids=lambda v: str(v) if isinstance(v, int) else "")
+    def test_fuzz_case(self, case, source, trace, config, bug, step):
+        _require_native_memsim()
+        context = (
+            f"seed={FUZZ_SEED} case={case} source={source} config={config.name} "
+            f"bug={getattr(bug, 'name', None)} step={step} "
+            f"(replay: REPRO_FUZZ_SEED={FUZZ_SEED})"
+        )
+        expected = _python_lane(config, trace, bug, step)
+        _assert_memsim_identical(expected, _native_lane(config, trace, bug, step),
+                                 context)
+        # the dispatching entry point takes the native lane for spec'd bugs
+        _assert_memsim_identical(
+            expected,
+            simulate_memory_trace(config, trace, bug=bug, step_instructions=step),
+            context + " via simulate_memory_trace",
+        )
+
+
+class _HookOnlyBug(MemoryBugModel):
+    """Overrides a hook and declares no spec: must stay on the Python walk."""
+
+    name = "hook-only"
+
+    def evict_most_recently_used(self, level: str) -> bool:
+        return level == "l2"
+
+
+class _ReOverridden(EvictMRU):
+    """Re-overrides a hook of a spec'd bug: the inherited spec is stale."""
+
+    def evict_most_recently_used(self, level: str) -> bool:
+        return level != self.level
+
+
+class TestMemsimDispatch:
+    def test_shipped_models_declare_specs(self):
+        from repro.bugs.memory_bugs import all_memory_bugs
+
+        assert declared_spec(MemoryBugModel()) is not None
+        for bug in all_memory_bugs():
+            assert declared_spec(bug) is not None, bug.name
+
+    def test_spec_must_cover_every_hook_override(self):
+        assert declared_spec(_HookOnlyBug()) is None
+        assert declared_spec(_ReOverridden("l1d")) is None
+
+    @pytest.mark.parametrize("bug", [_HookOnlyBug(), _ReOverridden("l1d")],
+                             ids=["hook-only", "re-overridden"])
+    def test_models_without_a_spec_run_the_python_walk(self, bug):
+        config = all_memory_microarches()[0]
+        trace = decode_trace(memsynth_trace("kv-store", 1500, seed=1))
+        with pytest.raises(NativeKernelUnavailable, match="without a native spec"):
+            simulate_memory_native(config, trace, bug, 200)
+        result = simulate_memory_trace(config, trace, bug=bug, step_instructions=200)
+        _assert_memsim_identical(_python_lane(config, trace, bug, 200), result,
+                                 bug.name)
+
+    def test_spec_models_run_the_native_walk(self, monkeypatch):
+        _require_native_memsim()
+        import repro.memsim.simulator as simulator
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a spec'd model fell back to the Python walk")
+
+        monkeypatch.setattr(simulator, "MemoryHierarchySim", refuse)
+        config = all_memory_microarches()[0]
+        trace = decode_trace(memsynth_trace("web-server", 1500, seed=2))
+        for bug in (None, EvictMRU("l2"), SPPDroppedPrefetches(3)):
+            simulate_memory_trace(config, trace, bug=bug, step_instructions=200)
+
+    def test_memory_store_replays_across_lanes(self, tmp_path, monkeypatch):
+        """Store keys do not depend on the memsim lane: a store filled by the
+        native walk replays with executed=0 on the Python walk, and back."""
+        _require_native_memsim()
+        import repro.memsim.native as memsim_native
+        from repro.bugs.memory_bugs import all_memory_bugs
+
+        registry = TraceRegistry()
+        trace_id = registry.register(decode_trace(memsynth_trace("kv-store", 1200, seed=4)))
+        jobs = [
+            SimulationJob(study="memory", config=config, bug=bug,
+                          trace_id=trace_id, step=300)
+            for config in all_memory_microarches()[:2]
+            for bug in [None, *all_memory_bugs()[:3]]
+        ]
+        with JobEngine(jobs=1, store=ResultStore(tmp_path / "native")) as engine:
+            native_results = engine.run(jobs, registry.traces)
+            assert engine.stats.executed == len(jobs)
+
+        def unavailable(*_args, **_kwargs):
+            raise NativeKernelUnavailable("forced Python walk")
+
+        monkeypatch.setattr(memsim_native, "simulate_memory_native", unavailable)
+        with JobEngine(jobs=1, store=ResultStore(tmp_path / "native")) as engine:
+            replayed = engine.run(jobs, registry.traces)
+            assert engine.stats.executed == 0
+        with JobEngine(jobs=1, store=ResultStore(tmp_path / "python")) as engine:
+            python_results = engine.run(jobs, registry.traces)
+            assert engine.stats.executed == len(jobs)
+        for job, a, b, c in zip(jobs, native_results, replayed, python_results):
+            for other in (b, c):
+                _assert_memsim_identical(a.to_memory(), other.to_memory(),
+                                         job.describe(), ordered=False)

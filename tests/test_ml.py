@@ -143,6 +143,15 @@ class TestEngines:
         model.fit(X[:150], y[:150], X[150:], y[150:])
         assert model.n_trees_fitted <= 300
 
+    def test_gbt_rejects_a_never_finite_validation_loss(self):
+        """Early stopping on a loss that is never finite would keep zero
+        trees; fit names the cause instead of failing in its own predict."""
+        X, y = _linear_data(n=40)
+        y_val = np.full(10, np.inf)
+        model = GradientBoostedTrees(n_estimators=20, early_stopping_rounds=3)
+        with pytest.raises(ValueError, match="validation loss was never finite"):
+            model.fit(X[:30], y[:30], X[30:], y_val)
+
     @pytest.mark.parametrize("factory", [
         lambda: MLPRegressor(hidden_layers=1, hidden_size=32, max_epochs=80, patience=30),
         lambda: CNNRegressor(conv_layers=1, filters=16, max_epochs=60, patience=30),
@@ -321,8 +330,9 @@ class TestTreeMatchesReference:
                 expected = reference.fit(X, y, X_val, y_val)
             except RuntimeError:
                 # A validation loss that is never finite stops early with
-                # no trees kept; both then refuse to predict.
-                with pytest.raises(RuntimeError, match="not been fitted"):
+                # no trees kept: the frozen reference then fails in its own
+                # predict, the learner rejects the input by name.
+                with pytest.raises(ValueError, match="loss was never finite"):
                     model.fit(X, y, X_val, y_val)
                 return
             fit = model.fit(X, y, X_val, y_val)

@@ -149,6 +149,40 @@ class TestFallback:
         _assert_identical(scalar, degraded, "no-compiler fallback")
         _assert_identical(scalar, again, "no-compiler fallback (memoised)")
 
+    def test_memsim_falls_back_with_one_warning(
+        self, fresh_build_state, monkeypatch
+    ):
+        """Without the library the memory study runs the Python walk: one
+        RuntimeWarning, then results identical to the native walk's."""
+        import numpy as np
+
+        from repro.bugs.memory_bugs import LoadMissDelay, SPPLeastConfidence
+        from repro.memsim import simulate_memory_trace
+        from repro.uarch.memory_presets import memory_microarch
+        from repro.workloads.memsynth import memsynth_trace
+
+        config = memory_microarch("Skylake-mem")
+        trace = decode_trace(memsynth_trace("kv-store", 1500, seed=6))
+        bugs = (None, LoadMissDelay("l1d", threshold=3, delay=9), SPPLeastConfidence())
+        built = [
+            simulate_memory_trace(config, trace, bug=bug, step_instructions=200)
+            for bug in bugs
+        ]
+        native_build._reset_for_tests()
+        monkeypatch.setenv(COMPILER_ENV_VAR, "/nonexistent/compiler-xyz")
+        with pytest.warns(RuntimeWarning, match="Python memory walk") as caught:
+            degraded = [
+                simulate_memory_trace(config, trace, bug=bug, step_instructions=200)
+                for bug in bugs
+            ]
+        assert len([w for w in caught if w.category is RuntimeWarning]) == 1
+        for a, b in zip(built, degraded):
+            assert (a.cycles, a.amat, a.instructions) == (b.cycles, b.amat, b.instructions)
+            assert list(a.series.counters) == list(b.series.counters)
+            for name in a.series.counters:
+                assert np.array_equal(a.series.counters[name], b.series.counters[name])
+            assert np.array_equal(a.series.ipc, b.series.ipc)
+
     def test_failed_compile_falls_back(
         self, fresh_build_state, monkeypatch, tmp_path, short_trace
     ):

@@ -140,6 +140,13 @@ class TestJobIdentity:
         # object id could otherwise alias a stale digest.
         assert any(entry[0] is duplicate for entry in registry._by_object.values())
 
+    def test_seed_is_derived_from_the_key(self, registry, tiny_trace):
+        from repro.runtime.job import seed_from_key
+
+        job = _core_jobs(registry, tiny_trace)[1]
+        expected = int.from_bytes(bytes.fromhex(job.key()[:16]), "big")
+        assert job.seed() == seed_from_key(job.key()) == expected
+
     def test_rejects_unknown_study_and_step(self, registry, tiny_trace):
         trace_id = registry.register(tiny_trace)
         with pytest.raises(ValueError):
@@ -198,6 +205,25 @@ class TestEngine:
         engine.run(jobs, registry.traces)
         assert seen[-1] == (len(jobs), len(jobs))
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_each_job_is_hashed_once(self, registry, tiny_trace, tmp_path,
+                                     monkeypatch, with_store):
+        """The engine hands its key down to seeding and persistence."""
+        jobs = _core_jobs(registry, tiny_trace)
+        calls = []
+        key = SimulationJob.key
+
+        def counted(self):
+            calls.append(self)
+            return key(self)
+
+        monkeypatch.setattr(SimulationJob, "key", counted)
+        store = ResultStore(tmp_path / "store") if with_store else None
+        engine = JobEngine(jobs=1, store=store)
+        engine.run(jobs, registry.traces)
+        assert engine.stats.executed == len(jobs)
+        assert len(calls) == len(jobs)
 
     def test_unknown_trace_id_rejected(self, registry, tiny_trace):
         job = SimulationJob(study="core", config=core_microarch("Skylake"),

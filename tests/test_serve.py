@@ -435,3 +435,22 @@ def test_run_kernel_choices_are_the_simulator_kernels(capsys):
     assert "invalid choice: 'vector'" in err
     for kernel in KERNELS:
         assert repr(kernel) in err
+
+
+def test_run_refuses_non_loopback_host_without_opt_in(monkeypatch, capsys, tmp_path):
+    """A non-loopback ``--host`` exits non-zero before loading or binding."""
+    import repro.serve.server as server
+
+    def no_bind(*_args, **_kwargs):  # pragma: no cover - reached only on failure
+        raise AssertionError("repro-serve bound a socket")
+
+    monkeypatch.setattr(server.socket, "create_server", no_bind)
+    missing = str(tmp_path / "never-read.pkl")
+    for host in ("0.0.0.0", "::", "192.0.2.7", "serve.example"):
+        assert server.main(["run", missing, "--host", host]) == 2
+        assert "--allow-remote" in capsys.readouterr().err
+    for host in ("127.0.0.1", "::1", "localhost"):
+        assert server.is_loopback_host(host)
+    # With the opt-in the check passes and the run proceeds to load the model.
+    with pytest.raises(FileNotFoundError):
+        server.main(["run", missing, "--host", "0.0.0.0", "--allow-remote"])
