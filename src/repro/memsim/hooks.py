@@ -12,14 +12,13 @@ overrides a hook without declaring a spec for it runs on the Python lane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Cache levels of the hierarchy, as the hooks name them.
 LEVELS = ("l1d", "l2", "llc")
 
 
-@dataclass(frozen=True)
-class NativeMemorySpec:
+class NativeMemorySpec(NamedTuple):
     """Declarative form of the memory hooks, read by the native walk.
 
     ``no_age_update`` / ``evict_mru`` name the levels whose hits skip the
