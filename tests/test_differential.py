@@ -47,6 +47,14 @@ from repro.bugs.core_bugs import (
     SerializeOpcode,
     StoresToLineDelay,
 )
+from repro.bugs.memory_bugs import (
+    EvictMRU,
+    LoadMissDelay,
+    NoAgeUpdateOnAccess,
+    SPPDroppedPrefetches,
+    SPPLeastConfidence,
+    SPPSignatureReset,
+)
 from repro.bugs.registry import core_bug_suite
 from repro.coresim import (
     KERNELS,
@@ -58,9 +66,15 @@ from repro.coresim import (
     supports_native,
 )
 from repro.coresim._reference import reference_simulate_trace
+from repro.coresim.native import NativeKernelUnavailable
+from repro.memsim import MemoryHierarchySim, simulate_memory_trace
+from repro.memsim.hooks import MemoryBugModel, declared_spec
+from repro.memsim.native import simulate_memory_native
 from repro.runtime import JobEngine, ResultStore, SimulationJob, TraceRegistry
 from repro.runtime.execution import batch_group_key, plan_batches
 from repro.uarch import all_core_microarches, core_microarch
+from repro.uarch.config import CacheConfig, kb
+from repro.uarch.memory_presets import all_memory_microarches
 from repro.workloads import (
     MicroOp,
     Opcode,
@@ -70,6 +84,8 @@ from repro.workloads import (
     workload,
 )
 from repro.workloads.ingest import ingest_trace
+from repro.workloads.memsynth import MEMSYNTH_WORKLOADS, memsynth_trace
+from repro.workloads.mixes import DEFAULT_MIXES, build_mix
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -571,23 +587,6 @@ class TestCrossKernelEngine:
 # ---------------------------------------------------------------------------
 # Memory-hierarchy simulator: Python walk vs native walk
 # ---------------------------------------------------------------------------
-
-from repro.bugs.memory_bugs import (  # noqa: E402 - memsim section imports
-    EvictMRU,
-    LoadMissDelay,
-    NoAgeUpdateOnAccess,
-    SPPDroppedPrefetches,
-    SPPLeastConfidence,
-    SPPSignatureReset,
-)
-from repro.memsim import MemoryHierarchySim, simulate_memory_trace  # noqa: E402
-from repro.memsim.hooks import MemoryBugModel, declared_spec  # noqa: E402
-from repro.coresim.native import NativeKernelUnavailable  # noqa: E402
-from repro.memsim.native import simulate_memory_native  # noqa: E402
-from repro.uarch.config import CacheConfig, kb  # noqa: E402
-from repro.uarch.memory_presets import all_memory_microarches  # noqa: E402
-from repro.workloads.memsynth import MEMSYNTH_WORKLOADS, memsynth_trace  # noqa: E402
-from repro.workloads.mixes import DEFAULT_MIXES, build_mix  # noqa: E402
 
 #: Fuzz cases per trace source (4 memsynth archetypes + 7 mixes).
 MEMSIM_FUZZ_CASES_PER_SOURCE = 2
